@@ -1,12 +1,14 @@
 package backend
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"memhier/internal/machine"
+	"memhier/internal/trace"
 )
 
 // deepLevels returns a 2- or 3-level hierarchy whose L1 matches the test
@@ -28,65 +30,82 @@ func withLevels(cfg machine.Config, n int) machine.Config {
 	return cfg
 }
 
-// TestDeepRunMatchesReference is the multi-level analogue of
-// TestRunMatchesReference: with 2- and 3-level private hierarchies on every
-// platform kind, the batched engine and the parallel engine at several
-// worker counts must match the unbatched reference executor bit for bit,
-// and the coherence invariants (including the deep levels' clean-and-
-// unowned rule) must hold at the end of every run.
-func TestDeepRunMatchesReference(t *testing.T) {
-	cfgs := []machine.Config{
+// deepTestConfigs are the multi-level platforms the deep tests cover: every
+// platform kind in 2- and 3-level forms, plus an SMP and a cluster of SMPs
+// with eight processors per node, where most deep copies a write must
+// sweep sit in siblings.
+func deepTestConfigs() []machine.Config {
+	return []machine.Config{
 		withLevels(smpConfig(4), 2),
 		withLevels(smpConfig(4), 3),
+		withLevels(smpConfig(8), 3),
 		withLevels(wsConfig(4, machine.NetBus100), 3),
 		withLevels(csmpConfig(2, 2, machine.NetSwitch155), 2),
 		withLevels(csmpConfig(2, 2, machine.NetSwitch155), 3),
+		withLevels(csmpConfig(8, 2, machine.NetBus100), 2),
 	}
+}
+
+// TestDeepRunMatchesReference is the multi-level analogue of
+// TestRunMatchesReference: with 2- and 3-level private hierarchies on every
+// platform kind, under MSI and MESI, the batched engine and the parallel
+// engine at several worker counts must match the unbatched reference
+// executor bit for bit, and the coherence invariants (including the deep
+// levels' clean-and-unowned rule and the presence filter's soundness) must
+// hold at the end of every run.
+func TestDeepRunMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTrace(rng, 4, 5, 300)
-		for _, cfg := range cfgs {
-			sysA, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
+		traces := map[int]*trace.Trace{} // by processor count
+		for _, cfg := range deepTestConfigs() {
+			tr, ok := traces[cfg.TotalProcs()]
+			if !ok {
+				tr = randomTrace(rng, cfg.TotalProcs(), 5, 300)
+				traces[cfg.TotalProcs()] = tr
 			}
-			want, err := referenceRun(tr, sysA)
-			if err != nil {
-				t.Fatalf("seed %d %s: reference run: %v", seed, cfg.Name, err)
-			}
-			if err := sysA.VerifyCoherence(); err != nil {
-				t.Fatalf("seed %d %s: reference run: %v", seed, cfg.Name, err)
-			}
-			sysB, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Run(tr, sysB)
-			if err != nil {
-				t.Fatalf("seed %d %s: batched Run: %v", seed, cfg.Name, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d %s: batched engine diverged from reference:\n got %+v\nwant %+v",
-					seed, cfg.Name, got, want)
-			}
-			if err := sysB.VerifyCoherence(); err != nil {
-				t.Errorf("seed %d %s: batched Run: %v", seed, cfg.Name, err)
-			}
-			for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
-				sysC, err := NewSystem(cfg)
+			for _, proto := range []Protocol{ProtocolMSI, ProtocolMESI} {
+				opts := SystemOptions{Protocol: proto}
+				name := fmt.Sprintf("seed %d %s/%d×%d %v", seed, cfg.Name, cfg.N, cfg.Procs, proto)
+				sysA, err := NewSystemOpts(cfg, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := RunParallel(tr, sysC, workers)
+				want, err := referenceRun(tr, sysA)
 				if err != nil {
-					t.Fatalf("seed %d %s: RunParallel(workers=%d): %v", seed, cfg.Name, workers, err)
+					t.Fatalf("%s: reference run: %v", name, err)
 				}
-				if !reflect.DeepEqual(par, want) {
-					t.Errorf("seed %d %s: parallel engine (workers=%d) diverged from reference",
-						seed, cfg.Name, workers)
+				if err := sysA.VerifyCoherence(); err != nil {
+					t.Fatalf("%s: reference run: %v", name, err)
 				}
-				if err := sysC.VerifyCoherence(); err != nil {
-					t.Errorf("seed %d %s: RunParallel(workers=%d): %v", seed, cfg.Name, workers, err)
+				sysB, err := NewSystemOpts(cfg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Run(tr, sysB)
+				if err != nil {
+					t.Fatalf("%s: batched Run: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: batched engine diverged from reference:\n got %+v\nwant %+v", name, got, want)
+				}
+				if err := sysB.VerifyCoherence(); err != nil {
+					t.Errorf("%s: batched Run: %v", name, err)
+				}
+				for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
+					sysC, err := NewSystemOpts(cfg, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					par, err := RunParallel(tr, sysC, workers)
+					if err != nil {
+						t.Fatalf("%s: RunParallel(workers=%d): %v", name, workers, err)
+					}
+					if !reflect.DeepEqual(par, want) {
+						t.Errorf("%s: parallel engine (workers=%d) diverged from reference", name, workers)
+					}
+					if err := sysC.VerifyCoherence(); err != nil {
+						t.Errorf("%s: RunParallel(workers=%d): %v", name, workers, err)
+					}
 				}
 			}
 		}

@@ -9,14 +9,17 @@ import (
 	"memhier/internal/workloads"
 )
 
-// TestCoherenceInvariantRealWorkloads runs every backend variant on real
-// kernels and checks the single-writer invariant at the end of the run.
+// TestCoherenceInvariantRealWorkloads runs every backend variant, in one-
+// and multi-level forms, on real kernels and checks the single-writer
+// invariant (and, on deep configs, the deep-level and presence-filter
+// invariants) at the end of the run.
 func TestCoherenceInvariantRealWorkloads(t *testing.T) {
 	cfgs := []machine.Config{
 		smpConfig(2), smpConfig(4),
 		wsConfig(2, machine.NetBus10), wsConfig(4, machine.NetSwitch155),
 		csmpConfig(2, 2, machine.NetBus100), csmpConfig(2, 2, machine.NetSwitch155),
 	}
+	cfgs = append(cfgs, deepTestConfigs()...)
 	kernels := []workloads.Workload{
 		workloads.NewFFT(256),
 		workloads.NewLU(24, 4),
@@ -35,10 +38,10 @@ func TestCoherenceInvariantRealWorkloads(t *testing.T) {
 					t.Fatal(err)
 				}
 				if _, err := Run(tr, sys); err != nil {
-					t.Fatalf("%v/%s/%s: %v", proto, cfg.Name, w.Name(), err)
+					t.Fatalf("%v/%s/%d×%d/%s: %v", proto, cfg.Name, cfg.N, cfg.Procs, w.Name(), err)
 				}
 				if err := sys.VerifyCoherence(); err != nil {
-					t.Errorf("%v/%s/%s: %v", proto, cfg.Name, w.Name(), err)
+					t.Errorf("%v/%s/%d×%d/%s: %v", proto, cfg.Name, cfg.N, cfg.Procs, w.Name(), err)
 				}
 			}
 		}

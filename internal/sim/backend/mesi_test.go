@@ -146,6 +146,50 @@ func TestMESIOnCluster(t *testing.T) {
 	}
 }
 
+// TestMESIDirtyEvictionKeepsExclusiveOwnership pins the directory rule for
+// a node that writes back one line of a block while it still holds another
+// line of that block Exclusive: the directory must keep the node as
+// exclusive owner. Dropping to Shared would let a remote reader fetch the
+// block from home beside the Exclusive copy, whose silent upgrade then
+// leaves a Modified line next to a Shared one.
+func TestMESIDirtyEvictionKeepsExclusiveOwnership(t *testing.T) {
+	cfg := wsConfig(2, machine.NetBus100)
+	cfg.CacheBytes = 256 // 2 sets x 2 ways of 64B
+	tr := trace.New(2)
+	s0, s1 := tr.Streams[0], tr.Streams[1]
+	s0.AddRead(0)         // sole copy: Exclusive, directory owner node 0
+	s0.AddWrite(64)       // same block, set 1: Modified
+	s0.AddWrite(129 * 64) // set 1, another block
+	s0.AddWrite(257 * 64) // set 1 — evicts line 64 with a write-back
+	s0.AddBarrier()
+	s1.AddBarrier()
+	s1.AddRead(0) // must meet node 0's ownership, not a clean home copy
+	s1.AddBarrier()
+	s0.AddCompute(1 << 20)
+	s0.AddBarrier()
+	s0.AddWrite(0)
+	s0.AddBarrier()
+	s1.AddBarrier()
+
+	sys, err := NewSystemOpts(cfg, SystemOptions{Protocol: ProtocolMESI})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(tr, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ClassCounts[ClassRemoteDirty] != 1 {
+		t.Errorf("remote read of the Exclusive line should take the owner path: %+v", res.Stats.ClassCounts)
+	}
+	if res.Stats.SilentUpgrades != 0 {
+		t.Errorf("the downgraded line upgraded silently %d times", res.Stats.SilentUpgrades)
+	}
+	if err := sys.VerifyCoherence(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestProtocolString(t *testing.T) {
 	if ProtocolMSI.String() != "MSI" || ProtocolMESI.String() != "MESI" {
 		t.Error("protocol names wrong")

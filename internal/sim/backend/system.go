@@ -783,6 +783,21 @@ func (s *System) nodeHoldsDirty(node int, block uint64) bool {
 	return false
 }
 
+// nodeHoldsExclusive reports whether any cache of the node holds a line of
+// the block in the MESI Exclusive state.
+func (s *System) nodeHoldsExclusive(node int, block uint64) bool {
+	base := block * DSMBlockSize
+	for p := 0; p < s.perN; p++ {
+		c := s.caches[node*s.perN+p]
+		for off := uint64(0); off < DSMBlockSize; off += CacheLineSize {
+			if st, ok := c.Probe(base + off); ok && st == cache.Exclusive {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // netAcquire occupies the cluster network for one transfer whose
 // destination is the home node, returning the completion time.
 func (s *System) netAcquire(home int, now, dur float64) float64 {
@@ -1250,9 +1265,11 @@ func (s *System) fill(cpu int, addr uint64, write, sole bool, now float64) {
 	// The evicted line is clean at home now, but the node keeps exclusive
 	// ownership of the block while any sibling line remains Modified in its
 	// caches — dropping it early would let another node fetch a stale
-	// sibling line from the home memory.
+	// sibling line from the home memory — or, under MESI, Exclusive: that
+	// line's later silent upgrade relies on the directory's record.
 	if e.state == dirExclusive && int(e.owner) == node &&
-		!s.nodeHoldsDirty(node, evBlock) {
+		!s.nodeHoldsDirty(node, evBlock) &&
+		(s.opts.Protocol != ProtocolMESI || !s.nodeHoldsExclusive(node, evBlock)) {
 		e.state = dirShared
 		e.owner = -1
 	}
