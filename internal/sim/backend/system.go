@@ -237,6 +237,10 @@ type System struct {
 	// and cross-node invalidations additionally kill deep copies.
 	deep    [][]*cache.Cache
 	deepLat []float64 // access latency per deep level, in cycles
+	// pres counts each node's deep copies by line hash (see
+	// presenceFilter): the deep helpers return at once where it proves a
+	// line absent. Empty on one-level configs.
+	pres presenceFilter
 	// hots holds the flattened fast-path views of every cache when the
 	// geometry supports them (hotOK); the snoop and directory helpers then
 	// probe with inlined loads instead of a call per line.
@@ -328,6 +332,7 @@ func NewSystemOpts(cfg machine.Config, opts SystemOptions) (*System, error) {
 	for cpu := 0; cpu < cfg.TotalProcs(); cpu++ {
 		s.caches = append(s.caches, cache.New(int(levels[0].Bytes), CacheLineSize, CacheAssoc))
 	}
+	deepLines := 0 // one processor's deep capacity, in lines
 	for li := 1; li < len(levels); li++ {
 		assoc, ok := deepAssoc(levels[li].Bytes)
 		if !ok {
@@ -340,6 +345,10 @@ func NewSystemOpts(cfg machine.Config, opts SystemOptions) (*System, error) {
 		}
 		s.deep = append(s.deep, lvl)
 		s.deepLat = append(s.deepLat, levels[li].LatencyCycles)
+		deepLines += int(levels[li].Bytes / CacheLineSize)
+	}
+	if s.deep != nil {
+		s.pres = newPresenceFilter(cfg.N, cfg.Procs*deepLines)
 	}
 	s.hots = make([]cache.Hot, len(s.caches))
 	s.hotOK = true
@@ -393,10 +402,13 @@ func deepAssoc(sizeBytes int64) (int, bool) {
 // line is removed from the deep level (it moves up into the L1 on the
 // caller's fill) and the level index (0 = L2) is returned.
 func (s *System) deepTake(cpu int, addr uint64) (int, bool) {
+	i := s.pres.slot(s.node(cpu), addr)
+	if s.pres.counts[i] == 0 {
+		return 0, false
+	}
 	for li := range s.deep {
-		c := s.deep[li][cpu]
-		if _, ok := c.Probe(addr); ok {
-			c.SetState(addr, cache.Invalid)
+		if s.deep[li][cpu].Take(addr) {
+			s.pres.remove(i)
 			return li, true
 		}
 	}
@@ -411,6 +423,8 @@ func deepClass(li int) AccessClass { return ClassL2Cache + AccessClass(li) }
 // exclusive victim hierarchy). Deep lines are always clean — a dirty
 // victim's write-back has already been charged by fill.
 func (s *System) deepInstall(cpu int, addr uint64) {
+	node := s.node(cpu)
+	s.pres.add(s.pres.slot(node, addr))
 	for li := range s.deep {
 		evAddr, _, evicted := s.deep[li][cpu].Fill(addr, cache.Shared)
 		if !evicted {
@@ -418,6 +432,8 @@ func (s *System) deepInstall(cpu int, addr uint64) {
 		}
 		addr = evAddr
 	}
+	// The last level's victim has left the node's deep hierarchies.
+	s.pres.remove(s.pres.slot(node, addr))
 }
 
 // deepHeldElsewhere reports whether any other processor of cpu's node
@@ -425,6 +441,9 @@ func (s *System) deepInstall(cpu int, addr uint64) {
 // other copy in the machine, deep levels included).
 func (s *System) deepHeldElsewhere(cpu int, addr uint64) bool {
 	myNode := s.node(cpu)
+	if s.pres.counts[s.pres.slot(myNode, addr)] == 0 {
+		return false
+	}
 	for p := 0; p < s.perN; p++ {
 		other := myNode*s.perN + p
 		if other == cpu {
@@ -441,18 +460,25 @@ func (s *System) deepHeldElsewhere(cpu int, addr uint64) bool {
 
 // deepInvalidateOthers kills addr in the deep hierarchies of cpu's node
 // siblings — every write that takes ownership of a line must also
-// invalidate the clean deep copies the L1 snoop cannot see.
+// invalidate the clean deep copies the L1 snoop cannot see. The sweep ends
+// as soon as the line's counter drops to zero: no copy is left to find.
 func (s *System) deepInvalidateOthers(cpu int, addr uint64) {
 	myNode := s.node(cpu)
+	i := s.pres.slot(myNode, addr)
+	if s.pres.counts[i] == 0 {
+		return
+	}
 	for p := 0; p < s.perN; p++ {
 		other := myNode*s.perN + p
 		if other == cpu {
 			continue
 		}
 		for li := range s.deep {
-			c := s.deep[li][other]
-			if _, ok := c.Probe(addr); ok {
-				c.SetState(addr, cache.Invalid)
+			if s.deep[li][other].Take(addr) {
+				s.pres.remove(i)
+				if s.pres.counts[i] == 0 {
+					return
+				}
 			}
 		}
 	}
@@ -461,28 +487,39 @@ func (s *System) deepInvalidateOthers(cpu int, addr uint64) {
 // deepDrop removes cpu's own deep copy of addr (the line just moved into
 // its L1 through a path that bypassed the deep probe).
 func (s *System) deepDrop(cpu int, addr uint64) {
+	i := s.pres.slot(s.node(cpu), addr)
+	if s.pres.counts[i] == 0 {
+		return
+	}
 	for li := range s.deep {
-		c := s.deep[li][cpu]
-		if _, ok := c.Probe(addr); ok {
-			c.SetState(addr, cache.Invalid)
+		if s.deep[li][cpu].Take(addr) {
+			s.pres.remove(i)
 		}
 	}
 }
 
 // deepInvalidateBlock kills every line of the block in every deep cache of
 // the node (the deep complement of invalidateNode's L1 sweep), returning
-// the number of lines dropped.
+// the number of lines dropped. Each line's sweep ends once its counter
+// drops to zero.
 func (s *System) deepInvalidateBlock(node int, block uint64) int {
 	killed := 0
 	base := block * DSMBlockSize
-	for p := 0; p < s.perN; p++ {
-		cpu := node*s.perN + p
-		for li := range s.deep {
-			c := s.deep[li][cpu]
-			for off := uint64(0); off < DSMBlockSize; off += CacheLineSize {
-				if _, ok := c.Probe(base + off); ok {
-					c.SetState(base+off, cache.Invalid)
+	for off := uint64(0); off < DSMBlockSize; off += CacheLineSize {
+		i := s.pres.slot(node, base+off)
+		if s.pres.counts[i] == 0 {
+			continue
+		}
+	sweep:
+		for p := 0; p < s.perN; p++ {
+			cpu := node*s.perN + p
+			for li := range s.deep {
+				if s.deep[li][cpu].Take(base + off) {
+					s.pres.remove(i)
 					killed++
+					if s.pres.counts[i] == 0 {
+						break sweep
+					}
 				}
 			}
 		}
@@ -574,6 +611,9 @@ func (s *System) VerifyCoherence() error {
 			}
 		}
 	}
+	if err := s.verifyPresence(); err != nil {
+		return err
+	}
 	// Cross-check the Modified-line lanes against a full scan: every test
 	// that exercises the counters through randomized traffic also verifies
 	// them here.
@@ -598,6 +638,36 @@ func (s *System) VerifyCoherence() error {
 					return fmt.Errorf("backend: block %#x node %d: dirty lane says %d Modified lines, scan finds %d",
 						e.block, node, got, n)
 				}
+			}
+		}
+	}
+	return nil
+}
+
+// verifyPresence checks the deep-presence filter's soundness: every counter
+// must be at least the number of resident deep lines of its node that hash
+// to it. A copy of the counters is drained by the lines actually resident;
+// a counter that runs dry was an under-count. Saturated counters, whose
+// true count is unknown by design, are exempt.
+func (s *System) verifyPresence() error {
+	left := append([]uint8(nil), s.pres.counts...)
+	for li := range s.deep {
+		for cpu := range s.deep[li] {
+			node := s.node(cpu)
+			var err error
+			s.deep[li][cpu].Lines(func(lineAddr uint64, _ cache.State) {
+				i := s.pres.slot(node, lineAddr*CacheLineSize)
+				switch {
+				case err != nil || s.pres.counts[i] == presenceSaturated:
+				case left[i] == 0:
+					err = fmt.Errorf("backend: node %d presence counter %d is %d, below the resident deep lines hashing to it (line %#x in cpu %d L%d)",
+						node, i-node<<s.pres.bits, s.pres.counts[i], lineAddr*CacheLineSize, cpu, li+2)
+				default:
+					left[i]--
+				}
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}

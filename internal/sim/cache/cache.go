@@ -51,12 +51,23 @@ func (s State) String() string {
 // traffic. Addresses are bounded well below 2^61 (trace.MaxAddr), so the
 // tag always fits.
 //
-// Generic associativities keep true LRU timestamps in a sidecar array (see
-// Cache.used) and ignore bit 2.
+// Generic associativities keep each set's recency order in one word (see
+// Cache.order) and ignore bit 2.
 const (
 	wayStateMask = 3
 	wayMRU1      = 4 // on way 0: way 1 is the set's most recently used
 	wayTagShift  = 3
+)
+
+// MaxAssoc is the highest associativity New accepts: a set's recency order
+// packs one 4-bit way index per way into a 64-bit word.
+const MaxAssoc = 16
+
+// Recency-order word constants: one 4-bit lane per recency position,
+// position 0 (the low nibble) most recently used.
+const (
+	nibbleOnes = 0x1111111111111111
+	nibbleHigh = 0x8888888888888888
 )
 
 func wayState(w uint64) State { return State(w & wayStateMask) }
@@ -83,21 +94,27 @@ type Cache struct {
 	// the hot lineTag path prefers the shift over a 64-bit division.
 	lineShift int8
 	// two is true for the two-way power-of-two geometry: LRU lives in the
-	// ways' MRU bits and used/tick stay nil.
+	// ways' MRU bits and order stays nil.
 	two   bool
 	lines []uint64
-	// used and tick implement LRU for generic associativities only.
-	used  []uint64
-	tick  uint64
+	// order holds every set's LRU order for generic associativities: lane p
+	// (bits 4p..4p+3) is the index of the way at recency position p, 0 the
+	// most recently used, assoc-1 the next victim. Only a touch (hit or
+	// fill) reorders a set; an invalidated way keeps its place, which is
+	// harmless because a fill takes the first invalid way before it
+	// consults the order. Among valid ways this is exactly the order of
+	// their last touches — true LRU at one word per set instead of one
+	// timestamp per way.
+	order []uint64
 	stats Stats
 }
 
 // New returns a cache of sizeBytes capacity with the given line size and
-// associativity. All three must be positive; sizeBytes must be a multiple
-// of lineSize*assoc and the set count a power of two. New panics otherwise:
-// cache geometry is static configuration.
+// associativity. All three must be positive and assoc at most MaxAssoc;
+// sizeBytes must be a multiple of lineSize*assoc and the set count a power
+// of two. New panics otherwise: cache geometry is static configuration.
 func New(sizeBytes, lineSize, assoc int) *Cache {
-	if sizeBytes <= 0 || lineSize <= 0 || assoc <= 0 {
+	if sizeBytes <= 0 || lineSize <= 0 || assoc <= 0 || assoc > MaxAssoc {
 		panic(fmt.Sprintf("cache: bad geometry size=%d line=%d assoc=%d", sizeBytes, lineSize, assoc))
 	}
 	if sizeBytes%(lineSize*assoc) != 0 {
@@ -120,9 +137,32 @@ func New(sizeBytes, lineSize, assoc int) *Cache {
 		lines:     make([]uint64, sets*assoc),
 	}
 	if !c.two {
-		c.used = make([]uint64, sets*assoc)
+		// Every set starts in way order; no touch has ranked a way yet.
+		var identity uint64
+		for w := 0; w < assoc; w++ {
+			identity |= uint64(w) << (4 * w)
+		}
+		c.order = make([]uint64, sets)
+		for i := range c.order {
+			c.order[i] = identity
+		}
 	}
 	return c
+}
+
+// touch makes way the most recently used of its set: its lane moves to
+// position 0 and the lanes that were ahead of it shift back one position.
+func (c *Cache) touch(set int, way int) {
+	o := c.order[set]
+	// x has a zero lane exactly where o holds way. The borrow trick flags
+	// zero lanes; its lowest flag is always exact, and way's position is
+	// below assoc while any spurious zero lane (unused high lanes) is
+	// above it.
+	x := o ^ uint64(way)*nibbleOnes
+	p := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHigh)) &^ 3
+	ahead := o & (1<<p - 1)
+	behind := o &^ (1<<(p+4) - 1) // p+4 == 64 shifts to zero: nothing behind
+	c.order[set] = behind | ahead<<4 | uint64(way)
 }
 
 // LineSize returns the line size in bytes.
@@ -174,15 +214,15 @@ func (c *Cache) Lookup(addr uint64) (State, bool) {
 	return Invalid, false
 }
 
-// lookupGeneric is Lookup for any other geometry, with timestamped LRU.
+// lookupGeneric is Lookup for any other geometry, with order-word LRU.
 func (c *Cache) lookupGeneric(addr uint64) (State, bool) {
 	tag := c.lineTag(addr)
-	c.tick++
-	base := (int(tag) & (c.sets - 1)) * c.assoc
+	set := int(tag) & (c.sets - 1)
+	base := set * c.assoc
 	for i := base; i < base+c.assoc; i++ {
 		w := c.lines[i]
 		if w&wayStateMask != 0 && w>>wayTagShift == tag {
-			c.used[i] = c.tick
+			c.touch(set, i-base)
 			c.stats.Hits++
 			return State(w & wayStateMask), true
 		}
@@ -355,48 +395,45 @@ func (c *Cache) Fill(addr uint64, st State) (evictedAddr uint64, writeback, evic
 	return evictedAddr, writeback, evicted
 }
 
-// fillGeneric is Fill for any other geometry, with timestamped LRU.
+// fillGeneric is Fill for any other geometry, with order-word LRU.
 func (c *Cache) fillGeneric(addr uint64, st State) (evictedAddr uint64, writeback, evicted bool) {
 	tag := c.lineTag(addr)
-	base := (int(tag) & (c.sets - 1)) * c.assoc
-	c.tick++
-	victim := -1
+	set := int(tag) & (c.sets - 1)
+	base := set * c.assoc
+	victim := -1 // first invalid way, if any
 	for i := base; i < base+c.assoc; i++ {
 		w := c.lines[i]
-		if w&wayStateMask != 0 && w>>wayTagShift == tag {
-			c.lines[i] = packWay(tag, st)
-			c.used[i] = c.tick
-			return 0, false, false
-		}
 		if w&wayStateMask == 0 {
-			if victim == -1 || c.lines[victim]&wayStateMask != 0 {
+			if victim < 0 {
 				victim = i
 			}
-		} else if victim == -1 || (c.lines[victim]&wayStateMask != 0 && c.used[i] < c.used[victim]) {
-			victim = i
+			continue
+		}
+		if w>>wayTagShift == tag {
+			c.lines[i] = packWay(tag, st)
+			c.touch(set, i-base)
+			return 0, false, false
 		}
 	}
-	ev := c.lines[victim]
-	wasValid := ev&wayStateMask != 0
-	if wasValid {
+	if victim < 0 {
+		// Every way is valid: evict the least recently used.
+		victim = base + int(c.order[set]>>(4*uint(c.assoc-1))&15)
+		ev := c.lines[victim]
 		c.stats.Evictions++
 		if State(ev&wayStateMask) == Modified {
 			c.stats.Writebacks++
 			writeback = true
 		}
+		evictedAddr, evicted = wayTag(ev)*uint64(c.lineSize), true
 	}
 	c.lines[victim] = packWay(tag, st)
-	c.used[victim] = c.tick
-	if !wasValid {
-		return 0, false, false
-	}
-	return wayTag(ev) * uint64(c.lineSize), writeback, true
+	c.touch(set, victim-base)
+	return evictedAddr, writeback, evicted
 }
 
 // SetState changes the state of a resident line (e.g. a snoop downgrade
 // Modified→Shared). It is a no-op if the line is absent. Setting Invalid
-// invalidates the line; the way's LRU standing is untouched either way,
-// like the timestamped scheme it replaced.
+// invalidates the line; the way's LRU standing is untouched either way.
 func (c *Cache) SetState(addr uint64, st State) {
 	tag := c.lineTag(addr)
 	base := (int(tag) & (c.sets - 1)) * c.assoc
@@ -405,8 +442,7 @@ func (c *Cache) SetState(addr uint64, st State) {
 		if w&wayStateMask != 0 && w>>wayTagShift == tag {
 			if st == Invalid {
 				// Clear the state bits only: the MRU bit (meaningful on way
-				// 0) must survive the line's death, exactly as timestamps
-				// survived invalidation.
+				// 0) must survive the line's death, as the order word does.
 				c.lines[i] = w &^ wayStateMask
 				c.stats.Invalidates++
 			} else {
@@ -415,6 +451,22 @@ func (c *Cache) SetState(addr uint64, st State) {
 			return
 		}
 	}
+}
+
+// Take invalidates addr if it is resident and reports whether it was: a
+// fused Probe and SetState(addr, Invalid) that scans the set once, with the
+// same bookkeeping (one Invalidates count, LRU standing untouched).
+func (c *Cache) Take(addr uint64) bool {
+	tag := c.lineTag(addr)
+	base := (int(tag) & (c.sets - 1)) * c.assoc
+	for i := base; i < base+c.assoc; i++ {
+		if w := c.lines[i]; w&wayStateMask != 0 && w>>wayTagShift == tag {
+			c.lines[i] = w &^ wayStateMask
+			c.stats.Invalidates++
+			return true
+		}
+	}
+	return false
 }
 
 // Flush invalidates every line and returns how many were Modified. Each

@@ -18,6 +18,7 @@ func TestNewPanics(t *testing.T) {
 		{0, 64, 2}, {256, 0, 2}, {256, 64, 0},
 		{100, 64, 2},        // not a multiple of line*assoc
 		{64 * 2 * 3, 64, 2}, // 3 sets: not a power of two
+		{64 * 32, 64, 32},   // wider than one order word
 	}
 	for _, tc := range cases {
 		func() {
@@ -223,5 +224,142 @@ func TestResidentNeverExceedsCapacity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// stampCache is a reference model of generic-associativity LRU: one
+// timestamp per way, the victim the first invalid way or else the valid
+// way with the oldest stamp. The order word must choose the same victims.
+type stampCache struct {
+	sets, assoc, line int
+	tags              []uint64
+	valid             []bool
+	used              []uint64
+	tick              uint64
+}
+
+func newStampCache(size, line, assoc int) *stampCache {
+	n := size / line
+	return &stampCache{sets: n / assoc, assoc: assoc, line: line,
+		tags: make([]uint64, n), valid: make([]bool, n), used: make([]uint64, n)}
+}
+
+func (m *stampCache) find(addr uint64) (base, way int) {
+	tag := addr / uint64(m.line)
+	base = int(tag) & (m.sets - 1) * m.assoc
+	for i := base; i < base+m.assoc; i++ {
+		if m.valid[i] && m.tags[i] == tag {
+			return base, i
+		}
+	}
+	return base, -1
+}
+
+func (m *stampCache) lookup(addr uint64) bool {
+	m.tick++
+	_, i := m.find(addr)
+	if i >= 0 {
+		m.used[i] = m.tick
+	}
+	return i >= 0
+}
+
+func (m *stampCache) fill(addr uint64) (uint64, bool) {
+	m.tick++
+	base, i := m.find(addr)
+	if i >= 0 {
+		m.used[i] = m.tick
+		return 0, false
+	}
+	victim := -1
+	for j := base; j < base+m.assoc && victim < 0; j++ {
+		if !m.valid[j] {
+			victim = j
+		}
+	}
+	var ev uint64
+	evicted := victim < 0
+	if evicted {
+		victim = base
+		for j := base; j < base+m.assoc; j++ {
+			if m.used[j] < m.used[victim] {
+				victim = j
+			}
+		}
+		ev = m.tags[victim] * uint64(m.line)
+	}
+	m.tags[victim], m.valid[victim], m.used[victim] = addr/uint64(m.line), true, m.tick
+	return ev, evicted
+}
+
+func (m *stampCache) invalidate(addr uint64) bool {
+	_, i := m.find(addr)
+	if i >= 0 {
+		m.valid[i] = false
+	}
+	return i >= 0
+}
+
+// TestOrderWordMatchesTimestampLRU drives the order-word LRU and the
+// timestamp reference with the same random lookups, fills, invalidations
+// and takes, for every associativity up to MaxAssoc and a line size that
+// is not a power of two, and requires the same hits and the same victims.
+func TestOrderWordMatchesTimestampLRU(t *testing.T) {
+	for _, g := range [][3]int{ // size, line, assoc
+		{64 * 8, 64, 1}, {48 * 2 * 4, 48, 2}, {64 * 4 * 4, 64, 4},
+		{64 * 8 * 4, 64, 8}, {64 * 8, 64, 8}, {64 * 16 * 2, 64, 16},
+	} {
+		c := New(g[0], g[1], g[2])
+		m := newStampCache(g[0], g[1], g[2])
+		rng := rand.New(rand.NewSource(int64(g[2])))
+		span := 3 * g[0] / g[1]
+		for step := 0; step < 20000; step++ {
+			addr := uint64(rng.Intn(span)) * uint64(g[1])
+			switch op := rng.Intn(10); {
+			case op < 5:
+				_, hit := c.Lookup(addr)
+				if want := m.lookup(addr); hit != want {
+					t.Fatalf("geometry %v step %d: Lookup(%#x) hit=%v, want %v", g, step, addr, hit, want)
+				}
+			case op < 8:
+				ev, _, evicted := c.Fill(addr, Shared)
+				wantEv, wantEvicted := m.fill(addr)
+				if ev != wantEv || evicted != wantEvicted {
+					t.Fatalf("geometry %v step %d: Fill(%#x) evicted (%#x, %v), want (%#x, %v)",
+						g, step, addr, ev, evicted, wantEv, wantEvicted)
+				}
+			case op < 9:
+				if got, want := c.Take(addr), m.invalidate(addr); got != want {
+					t.Fatalf("geometry %v step %d: Take(%#x)=%v, want %v", g, step, addr, got, want)
+				}
+			default:
+				c.SetState(addr, Invalid)
+				m.invalidate(addr)
+			}
+		}
+	}
+}
+
+func TestTake(t *testing.T) {
+	c := New(64*8*2, 64, 8)
+	c.Fill(0, Shared)
+	c.Fill(128, Modified)
+	if c.Take(64) {
+		t.Error("Take of an absent line reported a copy")
+	}
+	if !c.Take(128) {
+		t.Error("Take of a resident line reported none")
+	}
+	if _, ok := c.Probe(128); ok {
+		t.Error("line still resident after Take")
+	}
+	if c.Take(128) {
+		t.Error("second Take of the same line reported a copy")
+	}
+	if got := c.Stats().Invalidates; got != 1 {
+		t.Errorf("Invalidates = %d, want 1", got)
+	}
+	if _, ok := c.Probe(0); !ok {
+		t.Error("Take disturbed another line")
 	}
 }
