@@ -266,6 +266,7 @@ func (c *Cluster) Place(key string) ([]string, bool) {
 // Forward replays a canonical request body against peer's path with the
 // original request ID. The peer client adds the hop marker, applies its
 // (small) retry budget, and treats a draining answer as final.
+//
 //chc:hotpath
 func (c *Cluster) Forward(ctx context.Context, peer, path, requestID string, body []byte) (server.ForwardResult, error) {
 	cl, ok := c.clients[peer]

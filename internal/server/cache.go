@@ -86,6 +86,7 @@ const (
 // operation, on the request hit path. The hash is bit-identical to
 // fnv.New32a over the same bytes (TestShardHashMatchesFNV), so cached
 // keys keep their shard across this change.
+//
 //chc:hotpath
 func (c *resultCache) shard(key string) *cacheShard {
 	h := uint32(fnvOffset32)
@@ -102,6 +103,7 @@ func (c *resultCache) shard(key string) *cacheShard {
 // but not cached, so a transient failure doesn't poison the key. A waiter
 // whose ctx expires abandons the wait (the leader still completes and
 // caches for future callers).
+//
 //chc:hotpath
 func (c *resultCache) do(ctx context.Context, key string, compute func() (entry, error)) (entry, outcome, error) {
 	sh := c.shard(key)

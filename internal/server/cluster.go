@@ -119,6 +119,7 @@ func keyPayload(key string) []byte {
 // forwardableCompute wraps a leader computation with the cluster
 // placement rules above. It must only wrap computations for endpoints in
 // forwardPaths and requests that did not themselves arrive forwarded.
+//
 //chc:hotpath
 func (s *Server) forwardableCompute(ctx context.Context, endpoint, key, requestID string, compute func() (entry, error), note *forwardNote) func() (entry, error) {
 	path, ok := forwardPaths[endpoint]

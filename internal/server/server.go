@@ -386,6 +386,7 @@ func (s *Server) post(w http.ResponseWriter, r *http.Request, timeout time.Durat
 // inside the leader slot, so local duplicates dedup onto one forward and
 // the forwarded answer — byte-identical to the owner's — lands in the
 // local cache, replicating the hot key at its entry node.
+//
 //chc:hotpath
 func (s *Server) serveCached(ctx context.Context, w http.ResponseWriter, r *http.Request, endpoint, key string, compute func() (entry, error)) {
 	var note forwardNote

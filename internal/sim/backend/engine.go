@@ -360,6 +360,7 @@ outer:
 // execution structure mirrors runSeqWheel step for step — same batching
 // limit, same pend parking, same accounting order — so the two engines are
 // bit-identical (TestWheelEngineMatchesScan).
+//
 //chc:hotpath
 func runSeqScan(tr *trace.Trace, sys *System) (RunResult, error) {
 	want := tr.NumCPU()
@@ -604,6 +605,7 @@ outer:
 // them in bulk and must run before anything reads those accumulators (phase
 // snapshots and final assembly). See DESIGN.md ("Exact integer clocks") for
 // the full argument.
+//
 //chc:hotpath
 func runSeqScanInt(tr *trace.Trace, sys *System, hots []cache.Hot) (RunResult, error) {
 	want := tr.NumCPU()

@@ -10,82 +10,11 @@ type heapEnt struct {
 
 // entLess is the ready-queue ordering: earliest clock first, lowest CPU on
 // ties. Keys are unique (one entry per CPU), so the pop sequence is fully
-// determined regardless of the heap's internal arrangement.
+// determined regardless of how a queue arranges its entries.
 func entLess(a, b heapEnt) bool {
 	// The == is an exact tiebreak inside a total order, not an arithmetic
 	// comparison: two clocks either are the same bits (tie → cpu decides)
 	// or they are not. A tolerance here would make the order intransitive.
 	//chc:allow floateq -- exact tiebreak in a comparator
 	return a.clock < b.clock || (a.clock == b.clock && a.cpu < b.cpu)
-}
-
-// cpuQueue is a value-typed binary min-heap of heapEnt. Compared to
-// container/heap it avoids interface method calls and boxing on the
-// engine's hottest path; entries are plain 16-byte values in one slice.
-type cpuQueue []heapEnt
-
-// push inserts e, restoring the heap property.
-func (q *cpuQueue) push(e heapEnt) {
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !entLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum entry. The queue must be non-empty.
-func (q *cpuQueue) pop() heapEnt {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	*q = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && entLess(h[r], h[l]) {
-			m = r
-		}
-		if !entLess(h[m], h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	return top
-}
-
-// heapify restores the heap property over arbitrary contents (used when a
-// phase restarts the queue from per-processor clocks).
-func (q cpuQueue) heapify() {
-	n := len(q)
-	for i := n/2 - 1; i >= 0; i-- {
-		j := i
-		for {
-			l := 2*j + 1
-			if l >= n {
-				break
-			}
-			m := l
-			if r := l + 1; r < n && entLess(q[r], q[l]) {
-				m = r
-			}
-			if !entLess(q[m], q[j]) {
-				break
-			}
-			q[j], q[m] = q[m], q[j]
-			j = m
-		}
-	}
 }
