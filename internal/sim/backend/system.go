@@ -400,7 +400,9 @@ func deepAssoc(sizeBytes int64) (int, bool) {
 
 // deepTake serves addr from cpu's private deep hierarchy if resident: the
 // line is removed from the deep level (it moves up into the L1 on the
-// caller's fill) and the level index (0 = L2) is returned.
+// caller's fill) and the level index (0 = L2) is returned. The hierarchy
+// is exclusive — a line sits in at most one of a processor's levels — so
+// the first copy found is the only one.
 func (s *System) deepTake(cpu int, addr uint64) (int, bool) {
 	i := s.pres.slot(s.node(cpu), addr)
 	if s.pres.counts[i] == 0 {
@@ -480,20 +482,6 @@ func (s *System) deepInvalidateOthers(cpu int, addr uint64) {
 					return
 				}
 			}
-		}
-	}
-}
-
-// deepDrop removes cpu's own deep copy of addr (the line just moved into
-// its L1 through a path that bypassed the deep probe).
-func (s *System) deepDrop(cpu int, addr uint64) {
-	i := s.pres.slot(s.node(cpu), addr)
-	if s.pres.counts[i] == 0 {
-		return
-	}
-	for li := range s.deep {
-		if s.deep[li][cpu].Take(addr) {
-			s.pres.remove(i)
 		}
 	}
 }
@@ -1025,7 +1013,7 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 					// The line moved into the requester's L1 without a deep
 					// probe: drop any stale own deep copy, and on a write
 					// kill the siblings' clean deep copies as well.
-					s.deepDrop(cpu, addr)
+					s.deepTake(cpu, addr)
 					if write {
 						s.deepInvalidateOthers(cpu, addr)
 					}
