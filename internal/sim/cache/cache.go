@@ -59,9 +59,9 @@ const (
 	wayTagShift  = 3
 )
 
-// MaxAssoc is the highest associativity New accepts: a set's recency order
+// maxAssoc is the highest associativity New accepts: a set's recency order
 // packs one 4-bit way index per way into a 64-bit word.
-const MaxAssoc = 16
+const maxAssoc = 16
 
 // Recency-order word constants: one 4-bit lane per recency position,
 // position 0 (the low nibble) most recently used.
@@ -110,11 +110,11 @@ type Cache struct {
 }
 
 // New returns a cache of sizeBytes capacity with the given line size and
-// associativity. All three must be positive and assoc at most MaxAssoc;
+// associativity. All three must be positive and assoc at most 16;
 // sizeBytes must be a multiple of lineSize*assoc and the set count a power
 // of two. New panics otherwise: cache geometry is static configuration.
 func New(sizeBytes, lineSize, assoc int) *Cache {
-	if sizeBytes <= 0 || lineSize <= 0 || assoc <= 0 || assoc > MaxAssoc {
+	if sizeBytes <= 0 || lineSize <= 0 || assoc <= 0 || assoc > maxAssoc {
 		panic(fmt.Sprintf("cache: bad geometry size=%d line=%d assoc=%d", sizeBytes, lineSize, assoc))
 	}
 	if sizeBytes%(lineSize*assoc) != 0 {
@@ -152,7 +152,7 @@ func New(sizeBytes, lineSize, assoc int) *Cache {
 
 // touch makes way the most recently used of its set: its lane moves to
 // position 0 and the lanes that were ahead of it shift back one position.
-func (c *Cache) touch(set int, way int) {
+func (c *Cache) touch(set, way int) {
 	o := c.order[set]
 	// x has a zero lane exactly where o holds way. The borrow trick flags
 	// zero lanes; its lowest flag is always exact, and way's position is

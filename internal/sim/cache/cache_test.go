@@ -302,7 +302,7 @@ func (m *stampCache) invalidate(addr uint64) bool {
 
 // TestOrderWordMatchesTimestampLRU drives the order-word LRU and the
 // timestamp reference with the same random lookups, fills, invalidations
-// and takes, for every associativity up to MaxAssoc and a line size that
+// and takes, for every associativity up to maxAssoc and a line size that
 // is not a power of two, and requires the same hits and the same victims.
 func TestOrderWordMatchesTimestampLRU(t *testing.T) {
 	for _, g := range [][3]int{ // size, line, assoc
