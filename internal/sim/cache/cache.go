@@ -433,34 +433,34 @@ func (c *Cache) fillGeneric(addr uint64, st State) (evictedAddr uint64, writebac
 
 // SetState changes the state of a resident line (e.g. a snoop downgrade
 // Modified→Shared). It is a no-op if the line is absent. Setting Invalid
-// invalidates the line; the way's LRU standing is untouched either way.
+// invalidates the line, as Take does; the way's LRU standing is untouched
+// either way.
 func (c *Cache) SetState(addr uint64, st State) {
+	if st == Invalid {
+		c.Take(addr)
+		return
+	}
 	tag := c.lineTag(addr)
 	base := (int(tag) & (c.sets - 1)) * c.assoc
 	for i := base; i < base+c.assoc; i++ {
-		w := c.lines[i]
-		if w&wayStateMask != 0 && w>>wayTagShift == tag {
-			if st == Invalid {
-				// Clear the state bits only: the MRU bit (meaningful on way
-				// 0) must survive the line's death, as the order word does.
-				c.lines[i] = w &^ wayStateMask
-				c.stats.Invalidates++
-			} else {
-				c.lines[i] = w&^wayStateMask | uint64(st)
-			}
+		if w := c.lines[i]; w&wayStateMask != 0 && w>>wayTagShift == tag {
+			c.lines[i] = w&^wayStateMask | uint64(st)
 			return
 		}
 	}
 }
 
-// Take invalidates addr if it is resident and reports whether it was: a
-// fused Probe and SetState(addr, Invalid) that scans the set once, with the
-// same bookkeeping (one Invalidates count, LRU standing untouched).
+// Take invalidates addr if it is resident, counting one invalidation, and
+// reports whether it was: Probe and SetState(addr, Invalid) in one set
+// scan.
 func (c *Cache) Take(addr uint64) bool {
 	tag := c.lineTag(addr)
 	base := (int(tag) & (c.sets - 1)) * c.assoc
 	for i := base; i < base+c.assoc; i++ {
 		if w := c.lines[i]; w&wayStateMask != 0 && w>>wayTagShift == tag {
+			// Clear the state bits only: the MRU bit (meaningful on way 0
+			// of a two-way set) survives the line's death, as the order
+			// word does.
 			c.lines[i] = w &^ wayStateMask
 			c.stats.Invalidates++
 			return true
