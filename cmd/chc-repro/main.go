@@ -42,14 +42,13 @@ func main() {
 		report    = flag.String("report", "", "write the full reproduction as a Markdown report to this file")
 		stamp     = flag.Bool("stamp", false, "embed the current UTC time in the report header (makes -report output differ run-to-run)")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "artifact-level worker count for -all (output is identical for any value)")
-		simWork   = flag.Int("sim-workers", 0, "run validation simulations on the phase-parallel engine with this many workers (0 = sequential; output is identical either way)")
 		progress  = flag.Bool("progress", false, "print per-artifact timing lines to stderr as artifacts finish")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with `go tool pprof`)")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit (inspect with `go tool pprof`)")
 	)
 	flag.Parse()
 
-	opts := experiments.Options{Divisor: *divisor, SimWorkers: *simWork}
+	opts := experiments.Options{Divisor: *divisor}
 	opts.Model.CoherenceAdjust = *delta
 	if *stamp {
 		// The wall clock stays in the CLI layer: experiments is a

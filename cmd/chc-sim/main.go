@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"memhier/internal/machine"
 	"memhier/internal/profiling"
@@ -35,8 +34,6 @@ func main() {
 		paperScale = flag.Bool("paper-scale", false, "use the paper's full problem sizes (slow, memory-hungry)")
 		phases     = flag.Bool("phases", false, "print the per-phase profile (barrier-delimited)")
 		stream     = flag.Bool("stream", false, "stream the generator into the simulator (constant memory; use for -paper-scale)")
-		engine     = flag.String("engine", "seq", "simulation engine: seq or parallel (bit-identical results; for A/B runs)")
-		workers    = flag.Int("workers", runtime.NumCPU(), "worker goroutines for -engine parallel")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with `go tool pprof`)")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit (inspect with `go tool pprof`)")
 	)
@@ -70,17 +67,8 @@ func main() {
 		fail(err)
 	}
 
-	switch *engine {
-	case "seq", "parallel":
-	default:
-		fail(fmt.Errorf("unknown -engine %q (want seq or parallel)", *engine))
-	}
-
 	var res backend.RunResult
 	if *stream {
-		if *engine == "parallel" {
-			fail(fmt.Errorf("-engine parallel applies to materialized runs; -stream has its own pipeline"))
-		}
 		fmt.Printf("stream-simulating %s on %d processors...\n", k.Name(), cfg.TotalProcs())
 		sys, err := backend.NewSystem(cfg)
 		if err != nil {
@@ -104,11 +92,7 @@ func main() {
 		}
 		fmt.Printf("  %d instructions, %d memory references, %d barriers/cpu\n",
 			tr.Instructions(), tr.MemoryRefs(), tr.Streams[0].Barriers())
-		if *engine == "parallel" {
-			res, err = backend.SimulateParallel(tr, cfg, *workers)
-		} else {
-			res, err = backend.Simulate(tr, cfg)
-		}
+		res, err = backend.Simulate(tr, cfg)
 		if err != nil {
 			fail(err)
 		}

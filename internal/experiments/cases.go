@@ -7,6 +7,7 @@ import (
 	"memhier/internal/core"
 	"memhier/internal/cost"
 	"memhier/internal/machine"
+	"memhier/internal/sim/backend"
 	"memhier/internal/stopwatch"
 	"memhier/internal/tabulate"
 	"memhier/internal/workloads"
@@ -161,7 +162,7 @@ func (s *Suite) ModelVsSimSpeed() (SpeedComparison, error) {
 	modelTime := elapsed() / evals
 
 	elapsed = stopwatch.Start()
-	if _, err := s.simulate(tr, cfg); err != nil {
+	if _, err := backend.Simulate(tr, cfg); err != nil {
 		return SpeedComparison{}, err
 	}
 	simTime := elapsed()

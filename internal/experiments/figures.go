@@ -8,6 +8,7 @@ import (
 
 	"memhier/internal/core"
 	"memhier/internal/machine"
+	"memhier/internal/sim/backend"
 	"memhier/internal/tabulate"
 	"memhier/internal/workloads"
 )
@@ -156,7 +157,7 @@ func (s *Suite) validate(title string, cfgs []machine.Config) (Validation, error
 				errs[i] = fmt.Errorf("experiments: model %s/%s: %w", j.scaled.Name, wlName, err)
 				return
 			}
-			sim, err := s.simulate(tr, j.scaled)
+			sim, err := backend.Simulate(tr, j.scaled)
 			if err != nil {
 				errs[i] = fmt.Errorf("experiments: sim %s/%s: %w", j.scaled.Name, wlName, err)
 				return

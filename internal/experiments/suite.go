@@ -28,7 +28,6 @@ import (
 
 	"memhier/internal/core"
 	"memhier/internal/machine"
-	"memhier/internal/sim/backend"
 	"memhier/internal/trace"
 	"memhier/internal/workloads"
 )
@@ -49,12 +48,6 @@ type Options struct {
 	// run-to-run; callers that want a stamp (chc-repro -stamp) must say
 	// so explicitly and thereby opt out of determinism.
 	GeneratedAt string
-	// SimWorkers > 1 runs the validation simulations on the phase-parallel
-	// engine with that many workers. Results are bit-identical to the
-	// sequential engine at any worker count (backend.RunParallel's
-	// contract), so this never perturbs a reproduction — it only changes
-	// how the simulator schedules its own work.
-	SimWorkers int
 }
 
 func (o Options) divisor() int {
@@ -120,16 +113,6 @@ func NewSuite(opts Options) *Suite {
 		opts: opts,
 		wls:  workloads.Suite(opts.Scale),
 	}
-}
-
-// simulate dispatches one validation simulation to the engine the suite
-// was configured for: sequential by default, phase-parallel when
-// Options.SimWorkers > 1.
-func (s *Suite) simulate(tr *trace.Trace, cfg machine.Config) (backend.RunResult, error) {
-	if s.opts.SimWorkers > 1 {
-		return backend.SimulateParallel(tr, cfg, s.opts.SimWorkers)
-	}
-	return backend.Simulate(tr, cfg)
 }
 
 // sharing caches MeasureSharing per (workload, trace shape, node grouping).

@@ -97,7 +97,7 @@ func checkBody(pass *lint.Pass, body *ast.BlockStmt) {
 func checkCall(pass *lint.Pass, call *ast.CallExpr, prealloc map[string]bool) {
 	// Type conversion to an interface: any(x), error(e)-style boxing.
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
+		if boxes(tv.Type) && len(call.Args) == 1 {
 			if atv, ok := pass.TypesInfo.Types[call.Args[0]]; ok && !types.IsInterface(atv.Type) && !isNil(atv) {
 				pass.Reportf(call.Pos(), "conversion to %s boxes a concrete value on a hot path", types.TypeString(tv.Type, nil))
 			}
@@ -141,7 +141,7 @@ func checkCall(pass *lint.Pass, call *ast.CallExpr, prealloc map[string]bool) {
 		default:
 			continue
 		}
-		if pt == nil || !types.IsInterface(pt) {
+		if pt == nil || !boxes(pt) {
 			continue
 		}
 		if atv, ok := pass.TypesInfo.Types[arg]; ok && !types.IsInterface(atv.Type) && !isNil(atv) {
@@ -158,7 +158,7 @@ func checkAssign(pass *lint.Pass, as *ast.AssignStmt) {
 	}
 	for i := range as.Lhs {
 		ltv, ok := pass.TypesInfo.Types[as.Lhs[i]]
-		if !ok || !types.IsInterface(ltv.Type) {
+		if !ok || !boxes(ltv.Type) {
 			continue
 		}
 		rtv, ok := pass.TypesInfo.Types[as.Rhs[i]]
@@ -167,6 +167,34 @@ func checkAssign(pass *lint.Pass, as *ast.AssignStmt) {
 		}
 		pass.Reportf(as.Rhs[i].Pos(), "assigning concrete %s to interface %s boxes it on a hot path", types.TypeString(rtv.Type, nil), types.TypeString(ltv.Type, nil))
 	}
+}
+
+// boxes reports whether storing a concrete value as type t can box it: t is
+// an interface, or a type parameter an interface type could instantiate. A
+// type parameter constrained to a union of non-interface terms (~uint64 |
+// ~float64) is always instantiated with a concrete type, so a conversion to
+// it never boxes.
+func boxes(t types.Type) bool {
+	tp, ok := t.(*types.TypeParam)
+	if !ok {
+		return types.IsInterface(t)
+	}
+	iface, ok := tp.Constraint().Underlying().(*types.Interface)
+	if !ok || iface.IsMethodSet() || iface.NumEmbeddeds() == 0 {
+		return true
+	}
+	for i := 0; i < iface.NumEmbeddeds(); i++ {
+		u, ok := iface.EmbeddedType(i).(*types.Union)
+		if !ok {
+			return true
+		}
+		for j := 0; j < u.Len(); j++ {
+			if types.IsInterface(u.Term(j).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func isNil(tv types.TypeAndValue) bool {

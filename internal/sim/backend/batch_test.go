@@ -1,9 +1,9 @@
 package backend
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"memhier/internal/machine"
@@ -44,56 +44,73 @@ func randomTrace(rng *rand.Rand, nproc, phases, eventsPerPhase int) *trace.Trace
 	return tr
 }
 
+// fractionalConfigs are platforms with fractional latencies, where the
+// engine runs on float clocks: an SMP clocked at 250 MHz (memory-side
+// latencies ×1.25) and a 2-level hierarchy with a 10.5-cycle L2.
+func fractionalConfigs(nproc int) []machine.Config {
+	fast := smpConfig(nproc)
+	fast.Name = "test-smp-250mhz"
+	fast.ClockMHz = 250
+	l2 := withLevels(smpConfig(nproc), 2)
+	l2.Levels[1].LatencyCycles = 10.5
+	return []machine.Config{fast, l2}
+}
+
 // TestRunMatchesReference cross-checks the batched engine against the
 // retained pop-one-event reference executor on seeded random traces: the
 // RunResults — wall time, per-phase profiles, every counter — must be
-// bit-identical on all three platform kinds.
+// bit-identical on all three platform kinds, on integer and float clocks,
+// and past 32 processors.
 func TestRunMatchesReference(t *testing.T) {
-	cfgs := []machine.Config{
+	cfgs := append([]machine.Config{
 		smpConfig(4),
 		wsConfig(4, machine.NetBus100),
 		csmpConfig(2, 2, machine.NetSwitch155),
+	}, fractionalConfigs(4)...)
+	check := func(name string, tr *trace.Trace, cfg machine.Config) {
+		t.Helper()
+		sysA, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(tr, sysA)
+		if err != nil {
+			t.Fatalf("%s: batched Run: %v", name, err)
+		}
+		sysB, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceRun(tr, sysB)
+		if err != nil {
+			t.Fatalf("%s: reference run: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: batched engine diverged from reference:\n got %+v\nwant %+v", name, got, want)
+		}
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTrace(rng, 4, 6, 400)
 		for _, cfg := range cfgs {
-			sysA, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Run(tr, sysA)
-			if err != nil {
-				t.Fatalf("seed %d %s: batched Run: %v", seed, cfg.Name, err)
-			}
-			sysB, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := referenceRun(tr, sysB)
-			if err != nil {
-				t.Fatalf("seed %d %s: reference run: %v", seed, cfg.Name, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d %s: batched engine diverged from reference:\n got %+v\nwant %+v",
-					seed, cfg.Name, got, want)
-			}
-			for _, workers := range []int{1, 2, runtime.NumCPU()} {
-				sysC, err := NewSystem(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				par, err := RunParallel(tr, sysC, workers)
-				if err != nil {
-					t.Fatalf("seed %d %s: RunParallel(workers=%d): %v", seed, cfg.Name, workers, err)
-				}
-				if !reflect.DeepEqual(par, want) {
-					t.Errorf("seed %d %s: parallel engine (workers=%d) diverged from reference",
-						seed, cfg.Name, workers)
-				}
-			}
+			check(fmt.Sprintf("seed %d %s", seed, cfg.Name), tr, cfg)
 		}
 	}
+	for _, cfg := range fractionalConfigs(4) {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.exactLatencies() {
+			t.Errorf("%s: latencies are integral; the float clock goes untested", cfg.Name)
+		}
+	}
+
+	// One scan serves every processor count: 36 processors, past the 32 of
+	// the largest catalog platform.
+	const n = 36
+	rng := rand.New(rand.NewSource(7))
+	check(fmt.Sprintf("%d processors", n), randomTrace(rng, n, 3, 60), smpConfig(n))
 }
 
 // TestRunMatchesReferenceWorkload cross-checks on a real kernel trace, where

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"runtime"
 	"testing"
 
 	"memhier/internal/machine"
@@ -94,22 +93,6 @@ func BenchmarkSimulateClusterSMPDeep2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(tr, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunParallel tracks the phase-parallel engine A/B against
-// BenchmarkSimulateSMPBus (same trace and configuration, sequential
-// engine). bench.sh runs it under several -cpu values so per-core scaling
-// is visible across BENCH_*.json snapshots.
-func BenchmarkRunParallel(b *testing.B) {
-	tr := benchTraceFor(b, 4)
-	cfg := smpConfig(4)
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SimulateParallel(tr, cfg, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

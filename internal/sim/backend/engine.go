@@ -64,650 +64,175 @@ func checkTrace(tr *trace.Trace, sys *System) error {
 	return tr.Validate()
 }
 
-// wheelWidth sizes the scheduler's bucket granularity from the latency
-// table: the ready queue reorders only when a processor leaves the
-// private-hit fast path, so consecutive pops are separated by at least the
-// cheapest cross-processor transaction.
-func wheelWidth(sys *System) float64 {
-	if w := sys.lat.RemoteCache; w > 1 {
-		return w
-	}
-	return 1
-}
-
-// scanMaxProcs is the processor count up to which the sequential engine
-// schedules with a flat min-scan over per-CPU clocks instead of the event
-// wheel. The ready queue holds at most one entry per processor, so at small
-// counts a register-resident scan finding the minimum and runner-up in one
-// pass beats any bucketed or tree structure (see BenchmarkScheduler*); the
-// wheel's O(1) push/pop only wins once the scan's O(nproc) pass grows past
-// its constants.
-const scanMaxProcs = 32
-
-// makeAccess builds the engine's memory-reference fast path: a closure that
-// executes one compiled reference op, probing the processor's private cache
-// inline through the flattened cache.Hot view (zero calls on the hit path)
-// and falling through to the System's coherence machinery only when the
-// protocol is actually involved. The bookkeeping — stats.Refs, cache
-// tick/LRU/hit counters, cache-hit class accounting, tTotal and refs —
-// reproduces sys.Access word for word, so every engine built on it stays
-// bit-identical to the reference executor. When any cache's geometry has no
-// Hot view the closure degrades to plain sys.Access.
-func makeAccess(sys *System, tTotal *float64, refs *uint64) func(cpu int32, arg uint64, clock float64) float64 {
-	hots, ok := sysHots(sys)
-	if !ok {
-		return func(cpu int32, arg uint64, clock float64) float64 {
-			done := sys.Access(int(cpu), arg>>2, arg&3 == trace.OpWrite, clock)
-			*tTotal += done - clock
-			*refs++
-			return done
-		}
-	}
-	latHit := sys.lat.CacheHit
-	return func(cpu int32, arg uint64, clock float64) float64 {
-		addr := arg >> 2
-		write := arg&3 == trace.OpWrite
-		sys.stats.Refs++
-		h := &hots[cpu]
-		tag := addr >> h.Shift
-		base := (tag & h.Mask) << 1
-		// Two-way probe per the Hot contract; w ends 0 on a miss, else
-		// holds the matching way.
-		w := h.Ways[base]
-		if w&3 != 0 && w>>3 == tag {
-			h.Ways[base] = w &^ 4
-		} else if w1 := h.Ways[base+1]; w1&3 != 0 && w1>>3 == tag {
-			h.Ways[base] = w | 4
-			w = w1
-		} else {
-			w = 0
-		}
-		if w != 0 {
-			*h.Hits++
-			st := cache.State(w & 3)
-			if !write || st == cache.Modified {
-				done := clock + latHit
-				sys.stats.ClassCounts[ClassCacheHit]++
-				sys.stats.ClassCycles[ClassCacheHit] += done - clock
-				*tTotal += done - clock
-				*refs++
-				return done
-			}
-			// Hit, but a write to a non-Modified line: ownership upgrade
-			// through the protocol.
-			done := sys.accessRest(int(cpu), addr, write, clock, st, true)
-			*tTotal += done - clock
-			*refs++
-			return done
-		}
-		*h.Misses++
-		done := sys.accessRest(int(cpu), addr, write, clock, cache.Invalid, false)
-		*tTotal += done - clock
-		*refs++
-		return done
-	}
-}
-
-// sysHots collects the flattened fast-path views of every processor cache;
-// ok is false when any geometry has none, in which case engines stay on the
-// Lookup-based access path.
-func sysHots(sys *System) ([]cache.Hot, bool) {
-	hots := make([]cache.Hot, len(sys.caches))
-	for i, c := range sys.caches {
-		h, ok := c.Hot()
-		if !ok {
-			return nil, false
-		}
-		hots[i] = h
-	}
-	return hots, true
-}
-
 // Run drives the system with the trace, interleaving processors in global
 // time order, and returns the execution summary. The trace must have one
-// stream per simulated processor and balanced barriers.
-//
-// The engine executes each stream's compiled op form (trace.Op: a compute
-// gap fused with the reference or barrier that follows it) with event-run
-// batching: after picking the earliest processor, its ops keep executing
-// inline while its clock stays ahead of the next ready processor, so a long
-// compute/cache-hit run between barriers costs one scheduling decision
-// instead of one per event. The ready queue is a flat min-scan up to
-// scanMaxProcs processors and a calendar/event-wheel beyond that; both
-// retire work in identical (clock, cpu) order, and results are identical to
-// the unbatched reference executor (see TestRunMatchesReference).
+// stream per simulated processor and balanced barriers. The whole trace is
+// one phase of the engine (see engine.run), barriers included; results are
+// identical to the unbatched reference executor (see
+// TestRunMatchesReference).
 func Run(tr *trace.Trace, sys *System) (RunResult, error) {
 	if err := checkTrace(tr, sys); err != nil {
 		return RunResult{}, err
 	}
-	return runSeq(tr, sys)
-}
-
-// runSeq is the sequential engine behind Run; RunParallel falls back to it
-// for a single worker. The trace must already be validated.
-func runSeq(tr *trace.Trace, sys *System) (RunResult, error) {
-	if tr.NumCPU() <= scanMaxProcs {
-		// The integer-clock specialization needs every latency integral and
-		// every cache geometry flattenable; both hold for all stock machine
-		// configurations. Exotic setups take the float path.
-		if hots, ok := sysHots(sys); ok && sys.exactLatencies() {
-			return runSeqScanInt(tr, sys, hots)
-		}
-		return runSeqScan(tr, sys)
-	}
-	return runSeqWheel(tr, sys)
-}
-
-// runSeqWheel is the event-wheel variant of the sequential engine, for
-// processor counts past the scan crossover. It retires work in the same
-// (clock, cpu) order as runSeqScan with the same arithmetic, so the two are
-// bit-identical (TestWheelEngineMatchesScan).
-func runSeqWheel(tr *trace.Trace, sys *System) (RunResult, error) {
-	want := tr.NumCPU()
-	clocks := make([]float64, want)
-	nexts := make([]int, want)
-	// pends[cpu] holds the action half of an op whose compute advance has
-	// been applied but whose shared access must wait for global order (the
-	// batching limit was hit between the two); 0 = none.
-	pends := make([]uint64, want)
-	opsPer := make([][]trace.Op, want)
-	for i := range opsPer {
+	ops := make([][]trace.Op, tr.NumCPU())
+	for i, s := range tr.Streams {
 		var err error
-		if opsPer[i], err = tr.Streams[i].Ops(); err != nil {
+		if ops[i], err = s.Ops(); err != nil {
 			return RunResult{}, fmt.Errorf("backend: %w", err)
 		}
 	}
-
-	w := newWheel(wheelWidth(sys))
-	for i := 0; i < want; i++ {
-		w.push(heapEnt{cpu: int32(i)})
-	}
-
-	var res RunResult
-	res.Config = sys.Config().Name
+	phaseCap := 0
 	if nb := tr.Streams[0].Barriers(); nb > 0 {
 		// One phase per barrier plus the tail; pre-sizing skips the append
 		// growth chain (PhaseStats is a couple hundred bytes).
-		res.Phases = make([]PhaseStats, 0, nb+1)
+		phaseCap = int(nb) + 1
 	}
-	arrived := 0
-	var barrierMax float64
-	var phaseStart float64
-	var phaseBase Stats
-	var tTotal float64
-	var refs uint64
-	latInstr := sys.lat.Instruction
-	access := makeAccess(sys, &tTotal, &refs)
-
-	release := func() {
-		// All processors arrived: everyone resumes at the latest arrival.
-		// Wait is summed in CPU index order — the same order every engine
-		// (sequential, reference, parallel) uses, so the float sum is
-		// bit-identical across them.
-		res.Barriers++
-		var wait float64
-		for i := range clocks {
-			wait += barrierMax - clocks[i]
-			clocks[i] = barrierMax
-			w.push(heapEnt{clock: barrierMax, cpu: int32(i)})
-		}
-		res.BarrierWaitCycles += wait
-		cur := sys.Stats()
-		res.Phases = append(res.Phases, PhaseStats{
-			Index:       len(res.Phases),
-			StartCycle:  phaseStart,
-			EndCycle:    barrierMax,
-			BarrierWait: wait,
-			Stats:       cur.Minus(phaseBase),
-		})
-		phaseStart = barrierMax
-		phaseBase = cur
-		barrierMax = 0
-	}
-
-outer:
-	for w.n > 0 {
-		ent := w.pop()
-		cpu := ent.cpu
-		clock := clocks[cpu]
-		next := nexts[cpu]
-		ops := opsPer[cpu]
-		var limit heapEnt
-		bounded := w.n > 0
-		if bounded {
-			limit = w.peek()
-		}
-		if p := pends[cpu]; p != 0 {
-			// Resume the parked action of a half-executed op. Being popped
-			// as the queue minimum is exactly the order guarantee it was
-			// parked to wait for.
-			pends[cpu] = 0
-			clock = access(cpu, p, clock)
-			if bounded && !entLess(heapEnt{clock: clock, cpu: cpu}, limit) {
-				clocks[cpu] = clock
-				w.push(heapEnt{clock: clock, cpu: cpu})
-				continue outer
-			}
-		}
-		for {
-			if next >= len(ops) {
-				// Stream exhausted; the processor halts at its current clock.
-				if clock > res.WallCycles {
-					res.WallCycles = clock
-				}
-				break
-			}
-			op := ops[next]
-			next++
-			clock += float64(op.N) * latInstr
-			switch op.Arg & 3 {
-			case trace.OpNone:
-				// Pure compute advances only this processor's clock; no
-				// ordering against the rest of the machine is needed.
-				continue
-			case trace.OpBarrier:
-				// Arrival bookkeeping commutes (max over clocks), so no
-				// ordering is needed here either.
-				if clock > barrierMax {
-					barrierMax = clock
-				}
-				clocks[cpu] = clock
-				nexts[cpu] = next
-				arrived++
-				if arrived == want {
-					arrived = 0
-					release()
-				}
-				continue outer
-			}
-			// Memory reference at time clock: it touches shared machinery,
-			// so it must wait until this processor is globally earliest.
-			if bounded && !entLess(heapEnt{clock: clock, cpu: cpu}, limit) {
-				pends[cpu] = op.Arg
-				clocks[cpu] = clock
-				nexts[cpu] = next
-				w.push(heapEnt{clock: clock, cpu: cpu})
-				continue outer
-			}
-			clock = access(cpu, op.Arg, clock)
-			// Batching: keep executing this processor while it is still the
-			// earliest — exactly equivalent to pushing it back and popping
-			// it again, minus the two queue operations.
-			if bounded && !entLess(heapEnt{clock: clock, cpu: cpu}, limit) {
-				clocks[cpu] = clock
-				nexts[cpu] = next
-				w.push(heapEnt{clock: clock, cpu: cpu})
-				continue outer
-			}
-		}
-		clocks[cpu] = clock
-		nexts[cpu] = next
-	}
-	if arrived > 0 {
-		return RunResult{}, fmt.Errorf("backend: %d processors stuck at a barrier", arrived)
-	}
-	appendTailPhase(&res, sys, phaseStart, phaseBase)
-	assemble(&res, tr.Instructions(), refs, tTotal, sys)
-	return res, nil
+	r := newRunner(sys, len(ops), phaseCap)
+	r.phase(ops)
+	return r.finish(tr.Instructions())
 }
 
-// runSeqScan is the small-configuration variant of the sequential engine:
-// the ready queue is the per-CPU clock array itself, and each scheduling
-// decision is one pass over it computing the (clock, cpu) minimum and
-// runner-up. With at most one queue entry per processor the whole queue fits
-// in a few cache lines, so the scan beats both the binary heap it replaced
-// and the event wheel up to scanMaxProcs (BenchmarkScheduler*). The
-// execution structure mirrors runSeqWheel step for step — same batching
-// limit, same pend parking, same accounting order — so the two engines are
-// bit-identical (TestWheelEngineMatchesScan).
-//
-//chc:hotpath
-func runSeqScan(tr *trace.Trace, sys *System) (RunResult, error) {
-	want := tr.NumCPU()
-	inf := math.Inf(1)
-	// ready[cpu] is the clock at which the processor next contends for the
-	// machine; +Inf parks it (blocked at a barrier, or stream exhausted).
-	// clocks[cpu] is its last known clock regardless of parking: release
-	// needs arrival clocks after ready has been parked.
-	ready := make([]float64, want)
-	clocks := make([]float64, want)
-	nexts := make([]int, want)
-	opsPer := make([][]trace.Op, want)
-	for i := range opsPer {
-		var err error
-		if opsPer[i], err = tr.Streams[i].Ops(); err != nil {
-			//chc:allow hotalloc -- cold path: stream decode failed, the run is over
-			return RunResult{}, fmt.Errorf("backend: %w", err)
-		}
-	}
+// clock is the engine's clock type: uint64 when every latency is integral
+// (System.exactLatencies), float64 otherwise. Both instantiations run the
+// same loop.
+type clock interface{ ~uint64 | ~float64 }
 
-	var res RunResult
-	res.Config = sys.Config().Name
-	if nb := tr.Streams[0].Barriers(); nb > 0 {
-		res.Phases = make([]PhaseStats, 0, nb+1)
-	}
-	live := want
-	arrived := 0
-	var barrierMax float64
-	var phaseStart float64
-	var phaseBase Stats
-	var tTotal float64
-	var refs uint64
-	latInstr := sys.lat.Instruction
-	latHit := sys.lat.CacheHit
-	access := makeAccess(sys, &tTotal, &refs)
-	// hot enables the in-loop flattened probe (no indirect call per hit);
-	// with exotic geometry every reference goes through the access closure.
-	// (With integral latencies runSeq routes to runSeqScanInt instead, so
-	// this variant only ever runs with fractional latencies somewhere in the
-	// table — per-hit accounting must be immediate.)
-	hots, hot := sysHots(sys)
-	stats := &sys.stats
-
-	release := func() {
-		// All processors arrived: everyone resumes at the latest arrival.
-		// Wait is summed in CPU index order — the same order every engine
-		// uses, so the float sum is bit-identical across them.
-		res.Barriers++
-		var wait float64
-		for i := range clocks {
-			wait += barrierMax - clocks[i]
-			clocks[i] = barrierMax
-			ready[i] = barrierMax
-		}
-		live = want
-		res.BarrierWaitCycles += wait
-		cur := sys.Stats()
-		res.Phases = append(res.Phases, PhaseStats{
-			Index:       len(res.Phases),
-			StartCycle:  phaseStart,
-			EndCycle:    barrierMax,
-			BarrierWait: wait,
-			Stats:       cur.Minus(phaseBase),
-		})
-		phaseStart = barrierMax
-		phaseBase = cur
-		barrierMax = 0
-	}
-
-outer:
-	for live > 0 {
-		// One pass over the clock array: bi/bc is the (clock, cpu) minimum,
-		// si/sc the runner-up. Only strict < displaces, so the lowest CPU
-		// index wins ties — exactly entLess order. Parked processors sit at
-		// +Inf and lose every comparison. A runner-up at +Inf means the
-		// picked processor is effectively alone; entLess against the +Inf
-		// limit is then always true, so no separate "unbounded" flag is
-		// needed anywhere below.
-		bi := 0
-		bc := ready[0]
-		si := int32(0)
-		sc := inf
-		for i := 1; i < want; i++ {
-			c := ready[i]
-			if c < bc {
-				sc, si = bc, int32(bi)
-				bc, bi = c, i
-			} else if c < sc {
-				sc, si = c, int32(i)
-			}
-		}
-		cpu := int32(bi)
-		// clocks[bi], not the scan key: a processor parked on a gated
-		// reference keeps its committed clock here while ready[bi] holds the
-		// reference's contention time (see the park below). For every other
-		// processor the two are equal.
-		clock := clocks[bi]
-		next := nexts[bi]
-		ops := opsPer[bi]
-		limit := heapEnt{clock: sc, cpu: si}
-		for {
-			if next >= len(ops) {
-				// Stream exhausted; the processor halts at its current clock.
-				if clock > res.WallCycles {
-					res.WallCycles = clock
-				}
-				ready[bi] = inf
-				live--
-				break
-			}
-			op := ops[next]
-			next++
-			kind := op.Arg & 3
-			if kind == trace.OpNone {
-				// Pure compute advances only this processor's clock; no
-				// ordering against the rest of the machine is needed.
-				clock += float64(op.N) * latInstr
-				continue
-			}
-			if kind == trace.OpBarrier {
-				clock += float64(op.N) * latInstr
-				// Arrival bookkeeping commutes (max over clocks), so no
-				// ordering is needed here either.
-				if clock > barrierMax {
-					barrierMax = clock
-				}
-				clocks[bi] = clock
-				nexts[bi] = next
-				ready[bi] = inf
-				live--
-				arrived++
-				if arrived == want {
-					arrived = 0
-					release()
-				}
-				continue outer
-			}
-			// Memory reference at time t: it touches shared machinery, so it
-			// must wait until this processor is globally earliest. Parking
-			// rewinds next rather than saving a half-executed op: the compute
-			// advance is recomputed from the same committed clock on resume
-			// (bit-identical float add), which lets the resumed reference run
-			// through the flattened fast path below instead of a slow-path
-			// closure. Being picked as the scan minimum with ready[bi] = t
-			// implies (t, cpu) precedes the new runner-up limit, so the
-			// re-checked gate always passes on resume.
-			t := clock + float64(op.N)*latInstr
-			if !entLess(heapEnt{clock: t, cpu: cpu}, limit) {
-				nexts[bi] = next - 1
-				clocks[bi] = clock
-				ready[bi] = t
-				continue outer
-			}
-			clock = t
-			if hot {
-				// Flattened private-hit fast path: the two-way probe from
-				// cache.Hot inlined into the loop, no call on a hit.
-				addr := op.Arg >> 2
-				h := &hots[bi]
-				tag := addr >> h.Shift
-				base := (tag & h.Mask) << 1
-				w := h.Ways[base]
-				if w&3 != 0 && w>>3 == tag {
-					h.Ways[base] = w &^ 4
-				} else if w1 := h.Ways[base+1]; w1&3 != 0 && w1>>3 == tag {
-					h.Ways[base] = w | 4
-					w = w1
-				} else {
-					w = 0
-				}
-				if w != 0 {
-					st := cache.State(w & 3)
-					if kind != trace.OpWrite || st == cache.Modified {
-						*h.Hits++
-						stats.Refs++
-						done := clock + latHit
-						stats.ClassCounts[ClassCacheHit]++
-						stats.ClassCycles[ClassCacheHit] += done - clock
-						tTotal += done - clock
-						refs++
-						clock = done
-					} else {
-						// Write hit on a non-Modified line: ownership
-						// upgrade through the protocol.
-						*h.Hits++
-						stats.Refs++
-						done := sys.accessRest(bi, addr, true, clock, st, true)
-						tTotal += done - clock
-						refs++
-						clock = done
-					}
-				} else {
-					*h.Misses++
-					stats.Refs++
-					done := sys.accessRest(bi, addr, kind == trace.OpWrite, clock, cache.Invalid, false)
-					tTotal += done - clock
-					refs++
-					clock = done
-				}
-			} else {
-				clock = access(cpu, op.Arg, clock)
-			}
-			// Batching: keep executing this processor while it is still the
-			// earliest — exactly equivalent to re-scanning and picking it
-			// again, minus the scan.
-			if !entLess(heapEnt{clock: clock, cpu: cpu}, limit) {
-				clocks[bi] = clock
-				nexts[bi] = next
-				ready[bi] = clock
-				continue outer
-			}
-		}
-		clocks[bi] = clock
-		nexts[bi] = next
-	}
-	if arrived > 0 {
-		//chc:allow hotalloc -- cold path: malformed trace detected after the loop exits
-		return RunResult{}, fmt.Errorf("backend: %d processors stuck at a barrier", arrived)
-	}
-	appendTailPhase(&res, sys, phaseStart, phaseBase)
-	assemble(&res, tr.Instructions(), refs, tTotal, sys)
-	return res, nil
+// phaseRunner is the engine as Run and StreamRun drive it: phase once per
+// batch of compiled ops, then finish.
+type phaseRunner interface {
+	phase(ops [][]trace.Op)
+	finish(instructions uint64) (RunResult, error)
 }
 
-// runSeqScanInt is the integer-clock specialization of the scan engine, the
-// production fast path: it requires every latency in the table to be
-// integral (sys.exactLatencies) and every private cache to expose a
-// flattened Hot view. Under those conditions every clock value, barrier
-// wait, and cycle accumulator the simulation can produce is an exact
-// integer far below 2^53, so the engine runs its entire serial dependency
-// chain — compute advance, gate compare, min-scan — in uint64 arithmetic
-// (1-cycle adds and compares against the float chain's 4-cycle FMA/compare
-// latencies) and converts to float64 only at observation points: protocol
-// calls, phase records, and the final result. Each conversion is exact in
-// both directions, so the results are bit-identical to runSeqScan, the
-// wheel engine, and the unbatched reference executor
-// (TestRunMatchesReference).
+// newRunner builds the engine for sys with the exact integer clock when the
+// latency table allows it (see DESIGN.md, "Exact integer clocks") and with
+// float clocks otherwise. phaseCap pre-sizes the phase profile.
+func newRunner(sys *System, nproc, phaseCap int) phaseRunner {
+	if sys.exactLatencies() {
+		e := newEngine[uint64](sys, nproc, phaseCap, math.MaxUint64)
+		e.deferHits = true
+		return e
+	}
+	return newEngine(sys, nproc, phaseCap, math.Inf(1))
+}
+
+// engine is the simulator's one scheduling loop (run) and the state it
+// carries from one phase to the next.
+type engine[C clock] struct {
+	sys  *System
+	hots []cache.Hot
+	// deferHits batches private-hit accounting in hitNs; only exact integer
+	// clocks may, since regrouping fractional sums changes result bits.
+	deferHits bool
+	inf       C // parks a processor: it loses every scan comparison
+	latInstr  C
+	latHit    C
+
+	// Per processor. ops[cpu] is the current phase's compiled ops and
+	// nexts[cpu] the next one to execute. ready[cpu] is the scan key: a
+	// lower bound on when the processor next touches shared machinery, or
+	// inf while it is blocked at a barrier or out of ops. clocks[cpu] is its
+	// committed clock: for a processor parked on a gated reference, ready
+	// holds the reference's contention time while clocks stays at the clock
+	// the compute advance will be recomputed from. hitNs[cpu] counts private
+	// hits whose counter updates flush has not applied yet.
+	ops    [][]trace.Op
+	nexts  []int
+	ready  []C
+	clocks []C
+	hitNs  []uint64
+
+	arrived    int // processors waiting at the open barrier
+	barrierMax C   // latest arrival at the open barrier
+	phaseStart C
+	wall       C
+	phaseBase  Stats
+	tTotal     float64
+	refs       uint64
+	res        RunResult
+}
+
+func newEngine[C clock](sys *System, nproc, phaseCap int, inf C) *engine[C] {
+	e := &engine[C]{
+		sys:      sys,
+		hots:     sys.hots,
+		inf:      inf,
+		latInstr: C(sys.lat.Instruction),
+		latHit:   C(sys.lat.CacheHit),
+		ops:      make([][]trace.Op, nproc),
+		nexts:    make([]int, nproc),
+		ready:    make([]C, nproc),
+		clocks:   make([]C, nproc),
+		hitNs:    make([]uint64, nproc),
+	}
+	e.res.Config = sys.Config().Name
+	if phaseCap > 0 {
+		e.res.Phases = make([]PhaseStats, 0, phaseCap)
+	}
+	return e
+}
+
+// key is processor i's scan key at committed clock c: c advanced past the
+// compute gap of the processor's next op (see the batch-end park in run).
+func (e *engine[C]) key(i int, c C) C {
+	if n, ops := e.nexts[i], e.ops[i]; n < len(ops) {
+		c += C(ops[n].N) * e.latInstr
+	}
+	return c
+}
+
+// phase executes one compiled op list per processor, barriers in-stream,
+// until every list is exhausted. Run passes whole streams; StreamRun passes
+// one barrier-delimited chunk per processor at a time. A barrier op carries
+// the compute gap before it, so chunks that end at a barrier concatenate to
+// the whole-stream compile and both drives retire the same work in the same
+// order.
+func (e *engine[C]) phase(ops [][]trace.Op) {
+	copy(e.ops, ops)
+	for i := range e.ready {
+		e.nexts[i] = 0
+		e.ready[i] = e.key(i, e.clocks[i])
+	}
+	e.run()
+}
+
+// run is the scheduling loop. Each round is one pass over the ready keys
+// finding the (key, cpu) minimum and runner-up; the minimum executes with
+// event-run batching — its ops keep executing inline while it stays ahead
+// of the runner-up — so a long compute/cache-hit run costs one scheduling
+// decision instead of one per event. Compute and barrier arrival touch only
+// the processor itself and need no ordering; a memory reference waits until
+// its (time, cpu) precedes every other processor's key. Shared transactions
+// therefore retire in the reference executor's (clock, cpu) order, and the
+// results are bit-identical to it.
 //
-// The same exactness licenses deferred hit accounting: hitNs[cpu] counts
-// private hits whose counter updates (cache Hits, stats.Refs, hit-class
-// count and cycles, tTotal, refs) haven't been applied yet; flush applies
-// them in bulk and must run before anything reads those accumulators (phase
-// snapshots and final assembly). See DESIGN.md ("Exact integer clocks") for
-// the full argument.
+// With integer clocks every clock, wait and cycle accumulator is an exact
+// integer far below 2^53, so the serial dependency chain — compute advance,
+// gate compare, min-scan — runs in 1-cycle integer arithmetic, converting
+// to float64 only at observation points (protocol calls, phase records,
+// the final result); each conversion is exact both ways. The same
+// exactness licenses deferred hit accounting: one counter bump and one add
+// per private hit, settled in bulk by flush before anything reads the
+// counters. See DESIGN.md ("Exact integer clocks").
 //
 //chc:hotpath
-func runSeqScanInt(tr *trace.Trace, sys *System, hots []cache.Hot) (RunResult, error) {
-	want := tr.NumCPU()
-	const infu = math.MaxUint64
-	// ready[cpu] is the clock at which the processor next contends for the
-	// machine; infu parks it (blocked at a barrier, or stream exhausted).
-	// clocks[cpu] is its committed clock: for a processor parked on a gated
-	// reference, ready holds the reference's contention time while clocks
-	// stays at the clock the compute advance will be recomputed from.
-	ready := make([]uint64, want)
-	clocks := make([]uint64, want)
-	nexts := make([]int, want)
-	opsPer := make([][]trace.Op, want)
-	for i := range opsPer {
-		var err error
-		if opsPer[i], err = tr.Streams[i].Ops(); err != nil {
-			//chc:allow hotalloc -- cold path: stream decode failed, the run is over
-			return RunResult{}, fmt.Errorf("backend: %w", err)
-		}
-	}
-
-	var res RunResult
-	res.Config = sys.Config().Name
-	if nb := tr.Streams[0].Barriers(); nb > 0 {
-		res.Phases = make([]PhaseStats, 0, nb+1)
-	}
+func (e *engine[C]) run() {
+	stats := &e.sys.stats
+	ready, clocks, nexts, hitNs := e.ready, e.clocks, e.nexts, e.hitNs
+	latInstr, latHit, inf, deferHits := e.latInstr, e.latHit, e.inf, e.deferHits
+	want := len(ready)
 	live := want
-	arrived := 0
-	var barrierMax uint64
-	var phaseStart uint64
-	var phaseBase Stats
-	var tTotal float64
-	var refs uint64
-	var wall uint64
-	latInstr := uint64(sys.lat.Instruction)
-	latHit := uint64(sys.lat.CacheHit)
-	fLatHit := sys.lat.CacheHit
-	stats := &sys.stats
-	hitNs := make([]uint64, want)
-	flush := func() {
-		var total uint64
-		for i, n := range hitNs {
-			if n != 0 {
-				*hots[i].Hits += n
-				hitNs[i] = 0
-				total += n
-			}
-		}
-		if total != 0 {
-			stats.Refs += total
-			stats.ClassCounts[ClassCacheHit] += total
-			d := float64(total) * fLatHit
-			stats.ClassCycles[ClassCacheHit] += d
-			tTotal += d
-			refs += total
-		}
-	}
-
-	release := func() {
-		flush()
-		// All processors arrived: everyone resumes at the latest arrival.
-		// The integer wait sum is exact, so converting the total reproduces
-		// the float engines' term-by-term sum bit for bit.
-		res.Barriers++
-		var wait uint64
-		for i := range clocks {
-			wait += barrierMax - clocks[i]
-			clocks[i] = barrierMax
-			// Seed the scan key past the first compute gap (see the
-			// batch-end park): every processor restarts at the same instant,
-			// and keying on the first contention time instead dissolves that
-			// all-way tie.
-			key := barrierMax
-			if n, ops := nexts[i], opsPer[i]; n < len(ops) {
-				key += ops[n].N * latInstr
-			}
-			ready[i] = key
-		}
-		live = want
-		res.BarrierWaitCycles += float64(wait)
-		cur := sys.Stats()
-		res.Phases = append(res.Phases, PhaseStats{
-			Index:       len(res.Phases),
-			StartCycle:  float64(phaseStart),
-			EndCycle:    float64(barrierMax),
-			BarrierWait: float64(wait),
-			Stats:       cur.Minus(phaseBase),
-		})
-		phaseStart = barrierMax
-		phaseBase = cur
-		barrierMax = 0
-	}
-
 outer:
 	for live > 0 {
-		// One pass over the clock array: bi/bc is the (clock, cpu) minimum,
-		// si/sc the runner-up; lowest index wins ties, matching entLess
-		// order. Parked processors sit at infu and lose every comparison.
+		// One pass over the keys: bi/bc is the (key, cpu) minimum, si/sc the
+		// runner-up. Only strict < displaces, so the lowest CPU index wins
+		// ties. Parked processors sit at inf and lose every comparison; a
+		// runner-up at inf means the picked processor is effectively alone,
+		// and every gate below passes.
 		bi := 0
 		bc := ready[0]
 		si := 0
-		sc := uint64(infu)
+		sc := inf
 		for i := 1; i < want; i++ {
 			c := ready[i]
 			if c < bc {
@@ -719,22 +244,22 @@ outer:
 		}
 		clock := clocks[bi]
 		next := nexts[bi]
-		ops := opsPer[bi]
+		ops := e.ops[bi]
 		// hn mirrors hitNs[bi] in a register for the whole scheduling round;
 		// every exit path below stores it back before the slot can be read
 		// (flush) or another round begins.
 		hn := hitNs[bi]
-		h := &hots[bi]
+		h := &e.hots[bi]
 		shift := h.Shift
 		mask := h.Mask
 		ways := h.Ways
 		for {
 			if next >= len(ops) {
-				// Stream exhausted; the processor halts at its current clock.
-				if clock > wall {
-					wall = clock
+				// Out of ops; the processor halts at its current clock.
+				if clock > e.wall {
+					e.wall = clock
 				}
-				ready[bi] = infu
+				ready[bi] = inf
 				hitNs[bi] = hn
 				live--
 				break
@@ -745,25 +270,25 @@ outer:
 			if kind == trace.OpNone {
 				// Pure compute advances only this processor's clock; no
 				// ordering against the rest of the machine is needed.
-				clock += op.N * latInstr
+				clock += C(op.N) * latInstr
 				continue
 			}
 			if kind == trace.OpBarrier {
-				clock += op.N * latInstr
+				clock += C(op.N) * latInstr
 				// Arrival bookkeeping commutes (max over clocks), so no
 				// ordering is needed here either.
-				if clock > barrierMax {
-					barrierMax = clock
+				if clock > e.barrierMax {
+					e.barrierMax = clock
 				}
 				clocks[bi] = clock
 				nexts[bi] = next
-				ready[bi] = infu
+				ready[bi] = inf
 				hitNs[bi] = hn
 				live--
-				arrived++
-				if arrived == want {
-					arrived = 0
-					release()
+				e.arrived++
+				if e.arrived == want {
+					e.release()
+					live = want
 				}
 				continue outer
 			}
@@ -771,11 +296,12 @@ outer:
 			// must wait until this processor is globally earliest. Parking
 			// rewinds next rather than saving a half-executed op: the
 			// compute advance is recomputed from the same committed clock on
-			// resume, which lets the resumed reference run through the
-			// flattened fast path below. Being picked as the scan minimum
-			// with ready[bi] = t implies (t, cpu) precedes the new runner-up
-			// limit, so the re-checked gate always passes on resume.
-			t := clock + op.N*latInstr
+			// resume (the same arithmetic, so the same bits), which lets the
+			// resumed reference run through the fast path below. Being
+			// picked as the scan minimum with ready[bi] = t implies (t, cpu)
+			// precedes the new runner-up, so the re-checked gate passes on
+			// resume.
+			t := clock + C(op.N)*latInstr
 			if t > sc || (t == sc && bi >= si) {
 				nexts[bi] = next - 1
 				clocks[bi] = clock
@@ -820,29 +346,38 @@ outer:
 				// state^Modified): branching on kind and state separately
 				// mispredicts on the workload's read/write mix.
 				if m := (kind^trace.OpWrite)<<2 | (w&3 ^ 3); m-1 >= 3 {
-					// Deferred hit accounting: one counter bump and one
-					// integer add per hit; flush settles the books.
-					hn++
-					clock += latHit
+					if deferHits {
+						hn++
+						clock += latHit
+					} else {
+						*h.Hits++
+						stats.Refs++
+						d := float64(clock+latHit) - float64(clock)
+						stats.ClassCounts[ClassCacheHit]++
+						stats.ClassCycles[ClassCacheHit] += d
+						e.tTotal += d
+						e.refs++
+						clock += latHit
+					}
 				} else {
 					// Write hit on a non-Modified line: ownership upgrade
 					// through the protocol, on float clocks.
 					*h.Hits++
 					stats.Refs++
 					fc := float64(clock)
-					done := sys.accessRest(bi, addr, true, fc, cache.State(w&3), true)
-					tTotal += done - fc
-					refs++
-					clock = uint64(done)
+					done := e.sys.accessRest(bi, addr, true, fc, cache.State(w&3), true)
+					e.tTotal += done - fc
+					e.refs++
+					clock = C(done)
 				}
 			} else {
 				*h.Misses++
 				stats.Refs++
 				fc := float64(clock)
-				done := sys.accessRest(bi, addr, kind == trace.OpWrite, fc, cache.Invalid, false)
-				tTotal += done - fc
-				refs++
-				clock = uint64(done)
+				done := e.sys.accessRest(bi, addr, kind == trace.OpWrite, fc, cache.Invalid, false)
+				e.tTotal += done - fc
+				e.refs++
+				clock = C(done)
 			}
 			// Batching: keep executing this processor while it is still the
 			// earliest — exactly equivalent to re-scanning and picking it
@@ -860,7 +395,7 @@ outer:
 				// transaction time only costs batching, never correctness.
 				key := clock
 				if next < len(ops) {
-					key += ops[next].N * latInstr
+					key += C(ops[next].N) * latInstr
 				}
 				ready[bi] = key
 				hitNs[bi] = hn
@@ -870,15 +405,73 @@ outer:
 		clocks[bi] = clock
 		nexts[bi] = next
 	}
-	if arrived > 0 {
-		//chc:allow hotalloc -- cold path: malformed trace detected after the loop exits
-		return RunResult{}, fmt.Errorf("backend: %d processors stuck at a barrier", arrived)
+}
+
+// release opens the barrier once every processor has arrived: everyone
+// resumes at the latest arrival, and the closing phase is recorded.
+func (e *engine[C]) release() {
+	e.flush()
+	e.res.Barriers++
+	// Wait is summed in CPU index order, as the reference executor sums it.
+	// Integer sums are exact, so converting the total reproduces the float
+	// term-by-term sum bit for bit.
+	var wait C
+	for i := range e.clocks {
+		wait += e.barrierMax - e.clocks[i]
+		e.clocks[i] = e.barrierMax
+		// Every processor restarts at the same instant; keying on the first
+		// contention time instead dissolves that all-way tie.
+		e.ready[i] = e.key(i, e.barrierMax)
 	}
-	flush()
-	res.WallCycles = float64(wall)
-	appendTailPhase(&res, sys, float64(phaseStart), phaseBase)
-	assemble(&res, tr.Instructions(), refs, tTotal, sys)
-	return res, nil
+	e.res.BarrierWaitCycles += float64(wait)
+	cur := e.sys.Stats()
+	e.res.Phases = append(e.res.Phases, PhaseStats{
+		Index:       len(e.res.Phases),
+		StartCycle:  float64(e.phaseStart),
+		EndCycle:    float64(e.barrierMax),
+		BarrierWait: float64(wait),
+		Stats:       cur.Minus(e.phaseBase),
+	})
+	e.phaseStart = e.barrierMax
+	e.phaseBase = cur
+	e.barrierMax = 0
+	e.arrived = 0
+}
+
+// flush applies the deferred private hits to the counters (cache hits,
+// stats.Refs, hit-class count and cycles, tTotal, refs). It must run before
+// anything reads them: phase snapshots and the final result.
+func (e *engine[C]) flush() {
+	var total uint64
+	for i, n := range e.hitNs {
+		if n != 0 {
+			*e.hots[i].Hits += n
+			e.hitNs[i] = 0
+			total += n
+		}
+	}
+	if total != 0 {
+		stats := &e.sys.stats
+		stats.Refs += total
+		stats.ClassCounts[ClassCacheHit] += total
+		d := float64(total) * e.sys.lat.CacheHit
+		stats.ClassCycles[ClassCacheHit] += d
+		e.tTotal += d
+		e.refs += total
+	}
+}
+
+// finish closes the run: the tail phase after the last barrier (if any)
+// and the derived result fields.
+func (e *engine[C]) finish(instructions uint64) (RunResult, error) {
+	if e.arrived > 0 {
+		return RunResult{}, fmt.Errorf("backend: %d processors stuck at a barrier", e.arrived)
+	}
+	e.flush()
+	e.res.WallCycles = float64(e.wall)
+	appendTailPhase(&e.res, e.sys, float64(e.phaseStart), e.phaseBase)
+	assemble(&e.res, instructions, e.refs, e.tTotal, e.sys)
+	return e.res, nil
 }
 
 // appendTailPhase records the work after the last barrier (if any) as a
@@ -895,8 +488,8 @@ func appendTailPhase(res *RunResult, sys *System, phaseStart float64, phaseBase 
 }
 
 // assemble fills the derived result fields from the run's final counters.
-// Every engine (sequential, reference, parallel, streaming) funnels through
-// it so the derived arithmetic is shared and bit-identical.
+// The engine and the reference executor both funnel through it so the
+// derived arithmetic is shared and bit-identical.
 func assemble(res *RunResult, instructions, refs uint64, tTotal float64, sys *System) {
 	res.Instructions = instructions
 	res.MemoryRefs = refs

@@ -2,9 +2,7 @@ package backend
 
 import (
 	"fmt"
-	"math"
 
-	"memhier/internal/sim/cache"
 	"memhier/internal/trace"
 )
 
@@ -32,7 +30,14 @@ func WithEventHint(events int) StreamOption {
 //
 // generate must emit the same bulk-synchronous stream a materialized run
 // would (workloads.Workload.Run does); results are identical to Run on the
-// materialized trace (see TestStreamRunMatchesRun).
+// materialized trace (see TestStreamRunMatchesRun). Each phase is compiled
+// per processor with the trace package's op compiler and executed by the
+// same engine Run uses. A malformed stream — an event for a processor that
+// does not exist, an unknown event kind, an address beyond trace.MaxAddr,
+// or work emitted after the processor's own barrier arrival and before the
+// rendezvous — fails the run with an error; the collector then drops every
+// later event, so generate runs to completion and no goroutine is left
+// behind.
 //
 // The consumer and generator exchange two phase buffers through a free
 // list, so the steady state allocates nothing per phase: while the engine
@@ -64,10 +69,10 @@ func StreamRun(sys *System, nproc int, generate func(sink trace.Sink) error, opt
 		// One backing array per buffer: a chunk that outgrows its slice
 		// migrates out via append's reallocation, which the pre-size makes
 		// rare.
-		b := &phaseBuf{chunks: make([][]trace.Event, nproc)}
-		backing := make([]trace.Event, nproc*chunkCap)
+		b := &phaseBuf{chunks: make([]trace.OpCompiler, nproc)}
+		backing := make([]trace.Op, nproc*chunkCap)
 		for i := range b.chunks {
-			b.chunks[i] = backing[i*chunkCap : i*chunkCap : (i+1)*chunkCap][:0]
+			b.chunks[i].Ops = backing[i*chunkCap : i*chunkCap : (i+1)*chunkCap]
 		}
 		return b
 	}
@@ -75,257 +80,116 @@ func StreamRun(sys *System, nproc int, generate func(sink trace.Sink) error, opt
 	free := make(chan *phaseBuf, 2)
 	free <- newBuf()
 	free <- newBuf()
+	collector := &phaseCollector{nproc: nproc, out: out, free: free, arrived: make([]bool, nproc)}
 	genErr := make(chan error, 1)
 
 	go func() {
 		defer close(out)
-		collector := &phaseCollector{nproc: nproc, out: out, free: free}
-		if err := generate(collector); err != nil {
-			genErr <- err
-			return
+		err := generate(collector)
+		if collector.err != nil {
+			err = collector.err
+		} else if err == nil {
+			collector.flushTail()
 		}
-		collector.flushTail()
-		genErr <- nil
+		genErr <- err
 	}()
 
-	var res RunResult
-	res.Config = sys.Config().Name
-	res.Phases = make([]PhaseStats, 0, 32)
-	clocks := make([]float64, nproc)
-	idx := make([]int, nproc)
-	keys := make([]float64, nproc)
-	var instructions, refs uint64
-	var tTotal float64
-	var phaseStart float64
-	var phaseBase Stats
-	latInstr := sys.lat.Instruction
-	latHit := sys.lat.CacheHit
-	stats := &sys.stats
-	hots, hotOK := sysHots(sys)
-	access := makeAccess(sys, &tTotal, &refs)
-
+	// The engine never fails mid-stream, so every handed-over phase is
+	// consumed and returned: the generator can never block on a full
+	// channel or an empty free list.
+	r := newRunner(sys, nproc, 32)
+	ops := make([][]trace.Op, nproc)
 	for ph := range out {
-		// Interleave this phase's per-cpu event runs in global time order
-		// with the engine's flat min-scan: compute events advance a
-		// processor's private clock unchecked; each memory reference is
-		// gated against the runner-up key before it executes, so shared
-		// transactions retire in (clock, cpu) order exactly as Run's
-		// scheduler retires them.
-		done := 0
-		for cpu := 0; cpu < nproc; cpu++ {
-			idx[cpu] = 0
-			if len(ph.chunks[cpu]) == 0 {
-				keys[cpu] = math.Inf(1)
-				done++
-			} else {
-				keys[cpu] = clocks[cpu]
-			}
+		for i := range ph.chunks {
+			ops[i] = ph.chunks[i].Ops
 		}
-		for done < nproc {
-			bi := 0
-			bc := keys[0]
-			si := 0
-			sc := math.Inf(1)
-			for i := 1; i < nproc; i++ {
-				c := keys[i]
-				if c < bc {
-					sc, si = bc, bi
-					bc, bi = c, i
-				} else if c < sc {
-					sc, si = c, i
-				}
-			}
-			evs := ph.chunks[bi]
-			clock := clocks[bi]
-			i := idx[bi]
-		run:
-			for {
-				if i >= len(evs) {
-					keys[bi] = math.Inf(1)
-					done++
-					break run
-				}
-				e := evs[i]
-				switch e.Kind {
-				case trace.Compute:
-					clock += float64(e.N) * latInstr
-					instructions += e.N
-				case trace.Read, trace.Write:
-					//chc:allow floateq -- exact tiebreak in the (clock, cpu) retirement order
-					if clock > sc || (clock == sc && bi >= si) {
-						keys[bi] = clock
-						break run
-					}
-					instructions++
-					if !hotOK {
-						kind := trace.OpRead
-						if e.Kind == trace.Write {
-							kind = trace.OpWrite
-						}
-						clock = access(int32(bi), e.Addr<<2|kind, clock)
-						break
-					}
-					// Private-hit fast path inlined through the Hot view,
-					// reproducing makeAccess (and so sys.Access) word for
-					// word; only protocol-involving references pay a call.
-					stats.Refs++
-					h := &hots[bi]
-					tag := e.Addr >> h.Shift
-					base := (tag & h.Mask) << 1
-					w1 := h.Ways[base+1]
-					w0 := h.Ways[base]
-					hit0 := (w0^(tag<<3))&^4-1 < 3
-					hit1 := (w1^(tag<<3))&^4-1 < 3
-					w := uint64(0)
-					if hit1 {
-						w = w1
-					}
-					if hit0 {
-						w = w0
-					}
-					write := e.Kind == trace.Write
-					if w != 0 {
-						nm := w0 | 4
-						if hit0 {
-							nm = w0 &^ 4
-						}
-						h.Ways[base] = nm
-						*h.Hits++
-						if !write || w&3 == 3 {
-							done := clock + latHit
-							stats.ClassCounts[ClassCacheHit]++
-							stats.ClassCycles[ClassCacheHit] += done - clock
-							tTotal += done - clock
-							refs++
-							clock = done
-						} else {
-							done := sys.accessRest(bi, e.Addr, true, clock, cache.State(w&3), true)
-							tTotal += done - clock
-							refs++
-							clock = done
-						}
-					} else {
-						*h.Misses++
-						done := sys.accessRest(bi, e.Addr, write, clock, cache.Invalid, false)
-						tTotal += done - clock
-						refs++
-						clock = done
-					}
-				default:
-					return RunResult{}, fmt.Errorf("backend: unexpected event kind %v inside a streamed phase", e.Kind)
-				}
-				i++
-			}
-			idx[bi] = i
-			clocks[bi] = clock
-		}
-		// Phase end: barrier rendezvous (or the run's tail).
-		var max float64
-		for cpu := 0; cpu < nproc; cpu++ {
-			if clocks[cpu] > max {
-				max = clocks[cpu]
-			}
-		}
-		var wait float64
-		if ph.barrier {
-			res.Barriers++
-			for cpu := 0; cpu < nproc; cpu++ {
-				wait += max - clocks[cpu]
-				clocks[cpu] = max
-			}
-			res.BarrierWaitCycles += wait
-		}
-		cur := sys.Stats()
-		res.Phases = append(res.Phases, PhaseStats{
-			Index:       len(res.Phases),
-			StartCycle:  phaseStart,
-			EndCycle:    max,
-			BarrierWait: wait,
-			Stats:       cur.Minus(phaseBase),
-		})
-		phaseStart = max
-		phaseBase = cur
-		if max > res.WallCycles {
-			res.WallCycles = max
-		}
-		ph.barrier = false
+		r.phase(ops)
 		free <- ph
 	}
 	if err := <-genErr; err != nil {
 		return RunResult{}, err
 	}
-	assemble(&res, instructions, refs, tTotal, sys)
-	return res, nil
+	return r.finish(collector.instructions)
 }
 
-// phaseBuf is one bulk-synchronous phase of per-cpu event runs. Buffers
+// phaseBuf is one bulk-synchronous phase, compiled per processor; every
+// chunk of a phase that closed at a barrier ends in OpBarrier. Buffers
 // cycle between the generator and the engine through the free list; chunks
 // keep their capacity across phases.
 type phaseBuf struct {
-	chunks  [][]trace.Event
-	barrier bool // true when the phase ended at a barrier
+	chunks []trace.OpCompiler
 }
 
-// phaseCollector buffers one bulk-synchronous phase and hands it over when
-// every processor has crossed the barrier.
+// phaseCollector compiles one bulk-synchronous phase and hands it over when
+// every processor has arrived at the barrier. It runs on the generator's
+// goroutine; StreamRun reads instructions and err only after generate has
+// returned.
 type phaseCollector struct {
-	nproc   int
-	out     chan<- *phaseBuf
-	free    <-chan *phaseBuf
-	cur     *phaseBuf
-	arrived []bool
-	nwait   int
-}
-
-func (p *phaseCollector) ensure() {
-	if p.cur == nil {
-		p.cur = <-p.free
-		for i := range p.cur.chunks {
-			p.cur.chunks[i] = p.cur.chunks[i][:0]
-		}
-		if p.arrived == nil {
-			p.arrived = make([]bool, p.nproc)
-		} else {
-			for i := range p.arrived {
-				p.arrived[i] = false
-			}
-		}
-		p.nwait = 0
-	}
+	nproc        int
+	out          chan<- *phaseBuf
+	free         <-chan *phaseBuf
+	cur          *phaseBuf
+	arrived      []bool
+	nwait        int
+	instructions uint64 // m + M over every accepted event
+	// err is the first malformed event; once set, Emit drops everything.
+	err error
 }
 
 // Emit implements trace.Sink.
 func (p *phaseCollector) Emit(cpu int, e trace.Event) {
-	p.ensure()
-	if e.Kind == trace.Barrier {
-		if p.arrived[cpu] {
-			panic("backend: processor crossed the same barrier twice in a streamed phase")
-		}
-		p.arrived[cpu] = true
-		p.nwait++
-		if p.nwait == p.nproc {
-			p.cur.barrier = true
-			p.out <- p.cur
-			p.cur = nil
-		}
+	if p.err != nil {
+		return
+	}
+	if cpu < 0 || cpu >= p.nproc {
+		p.err = fmt.Errorf("backend: event for processor %d of a %d-processor stream", cpu, p.nproc)
 		return
 	}
 	if p.arrived[cpu] {
-		// A processor emitted work after its own barrier arrival and before
-		// the rendezvous completed — the stream is not bulk-synchronous.
-		panic("backend: event emitted after a barrier arrival; stream is not bulk-synchronous")
+		// Work emitted after the processor's own barrier arrival and before
+		// the rendezvous completed (a second arrival included).
+		p.err = fmt.Errorf("backend: processor %d emitted %v after its barrier arrival; the stream is not bulk-synchronous", cpu, e.Kind)
+		return
 	}
-	p.cur.chunks[cpu] = append(p.cur.chunks[cpu], e)
-}
-
-// flushTail hands over work emitted after the last barrier.
-func (p *phaseCollector) flushTail() {
-	p.ensure()
-	for _, c := range p.cur.chunks {
-		if len(c) > 0 {
-			p.out <- p.cur
-			p.cur = nil
-			return
+	if p.cur == nil {
+		// Every chunk of a handed-over phase ended at its barrier, which
+		// consumed the pending compute; emptying Ops resets the compiler.
+		p.cur = <-p.free
+		for i := range p.cur.chunks {
+			p.cur.chunks[i].Ops = p.cur.chunks[i].Ops[:0]
 		}
 	}
+	if err := p.cur.chunks[cpu].Add(e); err != nil {
+		p.err = fmt.Errorf("backend: processor %d: %w", cpu, err)
+		return
+	}
+	switch e.Kind {
+	case trace.Read, trace.Write:
+		p.instructions++
+	case trace.Compute:
+		p.instructions += e.N
+	case trace.Barrier:
+		p.arrived[cpu] = true
+		p.nwait++
+		if p.nwait == p.nproc {
+			p.out <- p.cur
+			p.cur = nil
+			clear(p.arrived)
+			p.nwait = 0
+		}
+	}
+}
+
+// flushTail hands over work emitted after the last barrier: trailing
+// compute gaps become OpNone ops, and an arrival at a barrier that never
+// completed stays in its chunk, where the engine reports it as stuck.
+func (p *phaseCollector) flushTail() {
+	if p.cur == nil {
+		return
+	}
+	for i := range p.cur.chunks {
+		p.cur.chunks[i].Flush()
+	}
+	p.out <- p.cur
+	p.cur = nil
 }

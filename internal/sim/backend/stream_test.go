@@ -3,7 +3,9 @@ package backend
 import (
 	"errors"
 	"os"
+	"reflect"
 	"testing"
+	"time"
 
 	"memhier/internal/machine"
 	"memhier/internal/trace"
@@ -11,12 +13,15 @@ import (
 )
 
 // TestStreamRunMatchesRun: the streaming engine must reproduce the
-// materialized engine's results exactly, for every backend variant.
+// materialized engine's results exactly, for every backend variant, a
+// 3-level hierarchy and a fractional-latency (float clock) platform.
 func TestStreamRunMatchesRun(t *testing.T) {
 	cfgs := []machine.Config{
 		smpConfig(2),
 		wsConfig(2, machine.NetBus100),
 		csmpConfig(2, 2, machine.NetSwitch155),
+		withLevels(csmpConfig(2, 2, machine.NetBus100), 3),
+		fractionalConfigs(2)[0],
 	}
 	kernels := []workloads.Workload{
 		workloads.NewFFT(256),
@@ -48,21 +53,8 @@ func TestStreamRunMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mat.WallCycles != str.WallCycles {
-				t.Errorf("%s/%s: wall %v (run) vs %v (stream)", cfg.Name, w.Name(), mat.WallCycles, str.WallCycles)
-			}
-			if mat.Instructions != str.Instructions || mat.MemoryRefs != str.MemoryRefs {
-				t.Errorf("%s/%s: counts differ: %d/%d vs %d/%d", cfg.Name, w.Name(),
-					mat.Instructions, mat.MemoryRefs, str.Instructions, str.MemoryRefs)
-			}
-			if mat.Stats != str.Stats {
-				t.Errorf("%s/%s: stats differ:\nrun:    %+v\nstream: %+v", cfg.Name, w.Name(), mat.Stats, str.Stats)
-			}
-			if mat.Barriers != str.Barriers || mat.BarrierWaitCycles != str.BarrierWaitCycles {
-				t.Errorf("%s/%s: barrier accounting differs", cfg.Name, w.Name())
-			}
-			if len(mat.Phases) != len(str.Phases) {
-				t.Errorf("%s/%s: phase count %d vs %d", cfg.Name, w.Name(), len(mat.Phases), len(str.Phases))
+			if !reflect.DeepEqual(mat, str) {
+				t.Errorf("%s/%s: stream diverged from run:\nrun:    %+v\nstream: %+v", cfg.Name, w.Name(), mat, str)
 			}
 		}
 	}
@@ -82,6 +74,74 @@ func TestStreamRunErrors(t *testing.T) {
 	boom := errors.New("boom")
 	if _, err := StreamRun(sys2, 2, func(trace.Sink) error { return boom }); !errors.Is(err, boom) {
 		t.Errorf("generator error lost: %v", err)
+	}
+
+	// Malformed streams fail the run instead of crashing or stranding the
+	// generator: each bad event is followed by enough well-formed phases to
+	// fill both phase buffers, and generate must still run to completion.
+	barrier := trace.Event{Kind: trace.Barrier}
+	read := trace.Event{Kind: trace.Read, Addr: 64}
+	for _, tc := range []struct {
+		name string
+		bad  func(sink trace.Sink)
+	}{
+		{"event after own barrier arrival", func(sink trace.Sink) {
+			sink.Emit(0, barrier)
+			sink.Emit(0, read)
+		}},
+		{"second barrier arrival", func(sink trace.Sink) {
+			sink.Emit(0, barrier)
+			sink.Emit(0, barrier)
+		}},
+		{"processor out of range", func(sink trace.Sink) { sink.Emit(2, read) }},
+		{"negative processor", func(sink trace.Sink) { sink.Emit(-1, read) }},
+		{"unknown event kind", func(sink trace.Sink) { sink.Emit(1, trace.Event{Kind: 9}) }},
+		{"address beyond trace.MaxAddr", func(sink trace.Sink) {
+			sink.Emit(0, trace.Event{Kind: trace.Write, Addr: trace.MaxAddr + 1})
+		}},
+	} {
+		sys, err := NewSystem(smpConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		_, err = StreamRun(sys, 2, func(sink trace.Sink) error {
+			defer close(done)
+			tc.bad(sink)
+			for i := 0; i < 8; i++ {
+				for cpu := 0; cpu < 2; cpu++ {
+					sink.Emit(cpu, read)
+					sink.Emit(cpu, barrier)
+				}
+			}
+			return nil
+		})
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: generate still blocked after StreamRun returned", tc.name)
+		}
+	}
+}
+
+// TestStreamRunUnfinishedBarrier: a barrier some processors never reach is
+// reported, as Run reports an unbalanced trace.
+func TestStreamRunUnfinishedBarrier(t *testing.T) {
+	sys, err := NewSystem(smpConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = StreamRun(sys, 2, func(sink trace.Sink) error {
+		sink.Emit(0, trace.Event{Kind: trace.Read, Addr: 64})
+		sink.Emit(0, trace.Event{Kind: trace.Barrier})
+		sink.Emit(1, trace.Event{Kind: trace.Compute, N: 3})
+		return nil
+	})
+	if err == nil {
+		t.Error("unfinished barrier accepted")
 	}
 }
 

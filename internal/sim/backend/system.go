@@ -230,7 +230,7 @@ type System struct {
 	// deep holds the private L2/L3 victim caches of multi-level configs:
 	// deep[l][cpu] is processor cpu's level l+2 cache. nil on one-level
 	// configs, which keeps every 1-level code path — including the
-	// engines' packed fast path — structurally identical to the
+	// engine's packed fast path — structurally identical to the
 	// pre-Levels simulator. Deep levels hold only clean lines a processor
 	// evicted from the level above (an exclusive victim hierarchy), so
 	// the coherence protocol still runs entirely between the L1s; writes
@@ -241,15 +241,13 @@ type System struct {
 	// presenceFilter): the deep helpers return at once where it proves a
 	// line absent. Empty on one-level configs.
 	pres presenceFilter
-	// hots holds the flattened fast-path views of every cache when the
-	// geometry supports them (hotOK); the snoop and directory helpers then
-	// probe with inlined loads instead of a call per line.
-	hots  []cache.Hot
-	hotOK bool
+	// hots holds the flattened fast-path views of every L1; the engine,
+	// the snoop and the directory helpers probe with inlined loads instead
+	// of a call per line.
+	hots []cache.Hot
 	// trackDirty enables the per-(node, block) Modified-line counters in
-	// blockEnt.dirty: hot views available (every transition site can see
-	// old states cheaply) and at most 8 nodes (one 8-bit lane each).
-	// Otherwise nodeHoldsDirty falls back to scanning.
+	// blockEnt.dirty: more than one node and at most 8 (one 8-bit lane
+	// each). Otherwise nodeHoldsDirty falls back to scanning.
 	trackDirty bool
 	membus     []*interconnect.Resource // per node: memory/snoop bus
 	iobus      []*interconnect.Resource // per node: I/O (disk) bus
@@ -351,16 +349,16 @@ func NewSystemOpts(cfg machine.Config, opts SystemOptions) (*System, error) {
 		s.pres = newPresenceFilter(cfg.N, cfg.Procs*deepLines)
 	}
 	s.hots = make([]cache.Hot, len(s.caches))
-	s.hotOK = true
 	for i, c := range s.caches {
 		h, ok := c.Hot()
 		if !ok {
-			s.hots, s.hotOK = nil, false
-			break
+			// The L1 geometry is static (CacheLineSize, CacheAssoc), like
+			// the bad geometry cache.New panics on.
+			panic("backend: L1 cache has no flattened two-way view")
 		}
 		s.hots[i] = h
 	}
-	s.trackDirty = s.hotOK && s.nodes > 1 && s.nodes <= 8
+	s.trackDirty = s.nodes > 1 && s.nodes <= 8
 	s.membus = make([]*interconnect.Resource, 0, cfg.N)
 	s.iobus = make([]*interconnect.Resource, 0, cfg.N)
 	s.mems = make([]*memory.Memory, 0, cfg.N)
@@ -524,7 +522,7 @@ func (s *System) Stats() Stats { return s.stats }
 // exactLatencies reports whether every latency a run can charge is a
 // non-negative integral number of cycles. Then every clock, wait, and cycle
 // accumulator in a run holds exact integers (well below 2^53), float
-// addition over them is associative, and the engines may defer or regroup
+// addition over them is associative, and the engine may defer or regroup
 // commutative accounting without changing a single result bit. Scaled
 // latency tables (machine.LatenciesAt with a non-divisor clock) can be
 // fractional, which disables that.
@@ -687,51 +685,36 @@ func (s *System) entry(block uint64, toucher int) *blockEnt {
 func (s *System) invalidateNode(node int, block uint64) int {
 	killed := 0
 	base := block * DSMBlockSize
-	if s.hotOK {
-		// Fused probe+invalidate per the Hot contract: xor-ing a way with
-		// tag<<3 leaves (on a tag match) just the MRU and state bits, so
-		// "residue&^4 in 1..3" is "valid line with this tag" in one
-		// compare. Invalidation clears only the state bits; the MRU bit
-		// survives, as with Cache.SetState.
-		dirtyKilled := 0
-		for p := 0; p < s.perN; p++ {
-			h := &s.hots[node*s.perN+p]
-			for off := uint64(0); off < DSMBlockSize; off += CacheLineSize {
-				tag := (base + off) >> h.Shift
-				b := (tag & h.Mask) << 1
-				if r := (h.Ways[b] ^ (tag << 3)) &^ 4; r-1 < 3 {
-					if r == 3 {
-						dirtyKilled++
-					}
-					h.Ways[b] &^= 3
-					killed++
-					*h.Invalidates++
-				} else if r := (h.Ways[b+1] ^ (tag << 3)) &^ 4; r-1 < 3 {
-					if r == 3 {
-						dirtyKilled++
-					}
-					h.Ways[b+1] &^= 3
-					killed++
-					*h.Invalidates++
-				}
-			}
-		}
-		if s.trackDirty && dirtyKilled > 0 {
-			s.dirtyAdd(node, block, -dirtyKilled)
-		}
-		if s.deep != nil {
-			killed += s.deepInvalidateBlock(node, block)
-		}
-		return killed
-	}
+	// Fused probe+invalidate per the Hot contract: xor-ing a way with
+	// tag<<3 leaves (on a tag match) just the MRU and state bits, so
+	// "residue&^4 in 1..3" is "valid line with this tag" in one compare.
+	// Invalidation clears only the state bits; the MRU bit survives, as
+	// with Cache.SetState.
+	dirtyKilled := 0
 	for p := 0; p < s.perN; p++ {
-		c := s.caches[node*s.perN+p]
+		h := &s.hots[node*s.perN+p]
 		for off := uint64(0); off < DSMBlockSize; off += CacheLineSize {
-			if _, ok := c.Probe(base + off); ok {
-				c.SetState(base+off, cache.Invalid)
+			tag := (base + off) >> h.Shift
+			b := (tag & h.Mask) << 1
+			if r := (h.Ways[b] ^ (tag << 3)) &^ 4; r-1 < 3 {
+				if r == 3 {
+					dirtyKilled++
+				}
+				h.Ways[b] &^= 3
 				killed++
+				*h.Invalidates++
+			} else if r := (h.Ways[b+1] ^ (tag << 3)) &^ 4; r-1 < 3 {
+				if r == 3 {
+					dirtyKilled++
+				}
+				h.Ways[b+1] &^= 3
+				killed++
+				*h.Invalidates++
 			}
 		}
+	}
+	if s.trackDirty && dirtyKilled > 0 {
+		s.dirtyAdd(node, block, -dirtyKilled)
 	}
 	if s.deep != nil {
 		killed += s.deepInvalidateBlock(node, block)
@@ -743,40 +726,29 @@ func (s *System) invalidateNode(node int, block uint64) int {
 // node's caches to Shared (a remote read of a dirty block).
 func (s *System) downgradeNode(node int, block uint64) {
 	base := block * DSMBlockSize
-	if s.hotOK {
-		// Fused probe+downgrade: residue&^4 of way^tag<<3 is the state on a
-		// tag match; 2..3 (Exclusive, Modified) in one compare.
-		downgraded := 0
-		for p := 0; p < s.perN; p++ {
-			h := &s.hots[node*s.perN+p]
-			for off := uint64(0); off < DSMBlockSize; off += CacheLineSize {
-				tag := (base + off) >> h.Shift
-				b := (tag & h.Mask) << 1
-				if r := (h.Ways[b] ^ (tag << 3)) &^ 4; r-2 < 2 {
-					if r == 3 {
-						downgraded++
-					}
-					h.Ways[b] = h.Ways[b]&^3 | uint64(cache.Shared)
-				} else if r := (h.Ways[b+1] ^ (tag << 3)) &^ 4; r-2 < 2 {
-					if r == 3 {
-						downgraded++
-					}
-					h.Ways[b+1] = h.Ways[b+1]&^3 | uint64(cache.Shared)
-				}
-			}
-		}
-		if s.trackDirty && downgraded > 0 {
-			s.dirtyAdd(node, block, -downgraded)
-		}
-		return
-	}
+	// Fused probe+downgrade: residue&^4 of way^tag<<3 is the state on a tag
+	// match; 2..3 (Exclusive, Modified) in one compare.
+	downgraded := 0
 	for p := 0; p < s.perN; p++ {
-		c := s.caches[node*s.perN+p]
+		h := &s.hots[node*s.perN+p]
 		for off := uint64(0); off < DSMBlockSize; off += CacheLineSize {
-			if st, ok := c.Probe(base + off); ok && st != cache.Shared {
-				c.SetState(base+off, cache.Shared)
+			tag := (base + off) >> h.Shift
+			b := (tag & h.Mask) << 1
+			if r := (h.Ways[b] ^ (tag << 3)) &^ 4; r-2 < 2 {
+				if r == 3 {
+					downgraded++
+				}
+				h.Ways[b] = h.Ways[b]&^3 | uint64(cache.Shared)
+			} else if r := (h.Ways[b+1] ^ (tag << 3)) &^ 4; r-2 < 2 {
+				if r == 3 {
+					downgraded++
+				}
+				h.Ways[b+1] = h.Ways[b+1]&^3 | uint64(cache.Shared)
 			}
 		}
+	}
+	if s.trackDirty && downgraded > 0 {
+		s.dirtyAdd(node, block, -downgraded)
 	}
 }
 
@@ -811,29 +783,17 @@ func (s *System) nodeHoldsDirty(node int, block uint64) bool {
 	if s.trackDirty {
 		return s.entry(block, node).dirty>>(8*uint(node))&0xff != 0
 	}
-	base := block * DSMBlockSize
-	if s.hotOK {
-		// Fused probe+state test: residue&^4 of way^tag<<3 equals 3 exactly
-		// when the way holds this tag in Modified — one compare per way.
-		// base is DSMBlockSize-aligned, so the block's line tags are the
-		// consecutive run t0, t0+1, … (every cache shares one geometry).
-		t0 := base >> s.hots[node*s.perN].Shift
-		for p := 0; p < s.perN; p++ {
-			h := &s.hots[node*s.perN+p]
-			for k := uint64(0); k < DSMBlockSize/CacheLineSize; k++ {
-				tag := t0 + k
-				b := (tag & h.Mask) << 1
-				if (h.Ways[b]^(tag<<3))&^4 == 3 || (h.Ways[b+1]^(tag<<3))&^4 == 3 {
-					return true
-				}
-			}
-		}
-		return false
-	}
+	// Fused probe+state test: residue&^4 of way^tag<<3 equals 3 exactly
+	// when the way holds this tag in Modified — one compare per way. The
+	// block base is DSMBlockSize-aligned, so the block's line tags are the
+	// consecutive run t0, t0+1, … (every cache shares one geometry).
+	t0 := block * DSMBlockSize >> s.hots[node*s.perN].Shift
 	for p := 0; p < s.perN; p++ {
-		c := s.caches[node*s.perN+p]
-		for off := uint64(0); off < DSMBlockSize; off += CacheLineSize {
-			if st, ok := c.Probe(base + off); ok && st == cache.Modified {
+		h := &s.hots[node*s.perN+p]
+		for k := uint64(0); k < DSMBlockSize/CacheLineSize; k++ {
+			tag := t0 + k
+			b := (tag & h.Mask) << 1
+			if (h.Ways[b]^(tag<<3))&^4 == 3 || (h.Ways[b+1]^(tag<<3))&^4 == 3 {
 				return true
 			}
 		}
@@ -891,8 +851,8 @@ func (s *System) Access(cpu int, addr uint64, write bool, now float64) float64 {
 	// Private-hit fast path, ahead of all coherence machinery: a read hit
 	// in any state and a write hit on an already-Modified line need no
 	// protocol action — this is the overwhelming majority of references.
-	// The engines inline this same check (see runSeq) and fall through to
-	// accessRest only on the slow path.
+	// The engine inlines this same check (see engine.run) and falls through
+	// to accessRest only on the slow path.
 	st, hit := s.caches[cpu].Lookup(addr)
 	if hit && (!write || st == cache.Modified) {
 		return s.finish(ClassCacheHit, now, now+s.lat.CacheHit)
@@ -931,11 +891,7 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 				if other == cpu {
 					continue
 				}
-				if s.hotOK {
-					s.hots[other].Set(addr, cache.Invalid)
-				} else {
-					s.caches[other].SetState(addr, cache.Invalid)
-				}
+				s.hots[other].Set(addr, cache.Invalid)
 			}
 			if t > done {
 				done = t
@@ -967,14 +923,7 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 			if other == cpu {
 				continue
 			}
-			var ost cache.State
-			var ok bool
-			if s.hotOK {
-				ost, ok = s.hots[other].Probe(addr)
-			} else {
-				ost, ok = s.caches[other].Probe(addr)
-			}
-			if ok {
+			if ost, ok := s.hots[other].Probe(addr); ok {
 				done := s.membus[myNode].Acquire(now, s.lat.RemoteCache)
 				s.stats.CoherenceBusCycles += s.lat.RemoteCache
 				s.stats.TotalBusCycles += s.lat.RemoteCache
@@ -985,11 +934,7 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 						if oc == cpu {
 							continue
 						}
-						if s.hotOK {
-							s.hots[oc].Set(addr, cache.Invalid)
-						} else {
-							s.caches[oc].SetState(addr, cache.Invalid)
-						}
+						s.hots[oc].Set(addr, cache.Invalid)
 					}
 					if s.trackDirty && ost == cache.Modified {
 						// The snooped owner's Modified copy died; the
@@ -1000,11 +945,7 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 						done = s.dirUpgrade(cpu, addr, now, done)
 					}
 				} else if ost == cache.Modified || ost == cache.Exclusive {
-					if s.hotOK {
-						s.hots[other].Set(addr, cache.Shared)
-					} else {
-						s.caches[other].SetState(addr, cache.Shared)
-					}
+					s.hots[other].Set(addr, cache.Shared)
 					if s.trackDirty && ost == cache.Modified {
 						s.dirtyAdd(myNode, s.block(addr), -1)
 					}
@@ -1223,93 +1164,82 @@ func (s *System) fill(cpu int, addr uint64, write, sole bool, now float64) {
 	}
 	var evAddr uint64
 	var writeback bool
-	if s.hotOK {
-		// Cache.Fill's two-way path inlined through the Hot view (the call
-		// is on every miss and doesn't inline itself); victim choice, MRU
-		// update, and counters mirror it word for word.
-		h := &s.hots[cpu]
-		tag := addr >> h.Shift
-		base := (tag & h.Mask) << 1
-		w0 := h.Ways[base]
-		w1 := h.Ways[base+1]
-		packed := tag<<3 | uint64(st)
-		switch {
-		case w0&3 != 0 && w0>>3 == tag:
-			// Refill of a resident line: new state, way 0 becomes MRU.
-			h.Ways[base] = packed
-			if s.trackDirty {
-				s.dirtyRefill(cpu, addr, w0, st)
-			}
-			return
-		case w1&3 != 0 && w1>>3 == tag:
-			h.Ways[base+1] = packed
-			h.Ways[base] = w0 | 4
-			if s.trackDirty {
-				s.dirtyRefill(cpu, addr, w1, st)
-			}
-			return
-		case w0&3 == 0:
-			h.Ways[base] = packed
-			if s.trackDirty && st == cache.Modified {
-				s.dirtyAdd(s.node(cpu), s.block(addr), 1)
-			}
-			return
-		case w1&3 == 0:
-			h.Ways[base+1] = packed
-			h.Ways[base] = w0 | 4
-			if s.trackDirty && st == cache.Modified {
-				s.dirtyAdd(s.node(cpu), s.block(addr), 1)
-			}
-			return
-		}
-		// Both ways valid: evict the not-most-recently-used way.
-		*h.Evictions++
-		if w0&4 == 0 {
-			if w1&3 == 3 {
-				writeback = true
-			}
-			evAddr = w1 >> 3 << h.Shift
-			h.Ways[base+1] = packed
-			h.Ways[base] = w0 | 4
-		} else {
-			if w0&3 == 3 {
-				writeback = true
-			}
-			evAddr = w0 >> 3 << h.Shift
-			h.Ways[base] = packed
-		}
+	// Cache.Fill's two-way path inlined through the Hot view (the call is
+	// on every miss and doesn't inline itself); victim choice, MRU update,
+	// and counters mirror it word for word.
+	h := &s.hots[cpu]
+	tag := addr >> h.Shift
+	base := (tag & h.Mask) << 1
+	w0 := h.Ways[base]
+	w1 := h.Ways[base+1]
+	packed := tag<<3 | uint64(st)
+	switch {
+	case w0&3 != 0 && w0>>3 == tag:
+		// Refill of a resident line: new state, way 0 becomes MRU.
+		h.Ways[base] = packed
 		if s.trackDirty {
-			// The installed line was not resident (the refill cases above
-			// would have matched), and a write-back means the victim was
-			// Modified. The victim lane must drop before the ownership
-			// drop-check below reads it.
-			if st == cache.Modified {
-				s.dirtyAdd(s.node(cpu), s.block(addr), 1)
-			}
-			if writeback {
-				s.dirtyAdd(s.node(cpu), s.block(evAddr), -1)
-			}
+			s.dirtyRefill(cpu, addr, w0, st)
+		}
+		return
+	case w1&3 != 0 && w1>>3 == tag:
+		h.Ways[base+1] = packed
+		h.Ways[base] = w0 | 4
+		if s.trackDirty {
+			s.dirtyRefill(cpu, addr, w1, st)
+		}
+		return
+	case w0&3 == 0:
+		h.Ways[base] = packed
+		if s.trackDirty && st == cache.Modified {
+			s.dirtyAdd(s.node(cpu), s.block(addr), 1)
+		}
+		return
+	case w1&3 == 0:
+		h.Ways[base+1] = packed
+		h.Ways[base] = w0 | 4
+		if s.trackDirty && st == cache.Modified {
+			s.dirtyAdd(s.node(cpu), s.block(addr), 1)
+		}
+		return
+	}
+	// Both ways valid: evict the not-most-recently-used way.
+	*h.Evictions++
+	if w0&4 == 0 {
+		if w1&3 == 3 {
+			writeback = true
+		}
+		evAddr = w1 >> 3 << h.Shift
+		h.Ways[base+1] = packed
+		h.Ways[base] = w0 | 4
+	} else {
+		if w0&3 == 3 {
+			writeback = true
+		}
+		evAddr = w0 >> 3 << h.Shift
+		h.Ways[base] = packed
+	}
+	if s.trackDirty {
+		// The installed line was not resident (the refill cases above
+		// would have matched), and a write-back means the victim was
+		// Modified. The victim lane must drop before the ownership
+		// drop-check below reads it.
+		if st == cache.Modified {
+			s.dirtyAdd(s.node(cpu), s.block(addr), 1)
 		}
 		if writeback {
-			*h.Writebacks++
+			s.dirtyAdd(s.node(cpu), s.block(evAddr), -1)
 		}
-		if s.deep != nil {
-			// The victim spills into the deep hierarchy (clean: a dirty
-			// victim's data is written back below, the tags stay).
-			s.deepInstall(cpu, evAddr)
-		}
-		if !writeback {
-			return
-		}
-	} else {
-		var evicted bool
-		evAddr, writeback, evicted = s.caches[cpu].Fill(addr, st)
-		if evicted && s.deep != nil {
-			s.deepInstall(cpu, evAddr)
-		}
-		if !writeback {
-			return
-		}
+	}
+	if writeback {
+		*h.Writebacks++
+	}
+	if s.deep != nil {
+		// The victim spills into the deep hierarchy (clean: a dirty
+		// victim's data is written back below, the tags stay).
+		s.deepInstall(cpu, evAddr)
+	}
+	if !writeback {
+		return
 	}
 	s.stats.Writebacks++
 	node := s.node(cpu)

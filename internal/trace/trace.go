@@ -237,11 +237,11 @@ func LineAddr(addr uint64, lineSize int) uint64 {
 // MaxAddr bounds simulable byte addresses: compiled ops pack the address
 // and the action kind into one word (see Op), reserving the top two bits.
 // Four exabytes of address space leaves every realistic workload untouched;
-// Validate rejects streams beyond it so the engines never see one.
+// Validate rejects streams beyond it so the engine never sees one.
 const MaxAddr = uint64(1)<<62 - 1
 
 // Op is one step of a stream's compiled form: a compute gap of N
-// instructions followed by at most one action. The simulator engines run on
+// instructions followed by at most one action. The simulator engine runs on
 // ops instead of raw events — the dominant compute-then-reference pattern
 // costs one loop iteration instead of two, and an op is 16 bytes against an
 // Event's 24.
@@ -254,9 +254,9 @@ const MaxAddr = uint64(1)<<62 - 1
 // event form would.
 type Op struct {
 	// N is the compute instruction count executed before the action. Kept
-	// integral for the integer-clock engine's advance (clock += N*latInstr
-	// in uint64); the float engines convert, which is exact — counts are
-	// far below 2^53.
+	// integral for the integer-clock advance (clock += N*latInstr in
+	// uint64); float clocks convert, which is exact — counts are far below
+	// 2^53.
 	N   uint64
 	Arg uint64 // Addr<<2 | kind (OpNone, OpRead, OpWrite, OpBarrier)
 }
@@ -292,44 +292,65 @@ func (s *Stream) Ops() ([]Op, error) {
 	return ops, err
 }
 
-// compileEvents fuses each compute gap with the action that follows it.
+// compileEvents compiles a whole stream.
 func compileEvents(events []Event) ([]Op, error) {
-	ops := make([]Op, 0, len(events))
-	var pending uint64
-	havePending := false
-	flush := func() {
-		if havePending {
-			ops = append(ops, Op{N: pending, Arg: OpNone})
-			pending = 0
-			havePending = false
-		}
-	}
+	c := OpCompiler{Ops: make([]Op, 0, len(events))}
 	for _, e := range events {
-		switch e.Kind {
-		case Compute:
-			// Two computes in a row stay two ops: fusing them into one
-			// N1+N2 advance would change the float arithmetic sequence.
-			flush()
-			pending = e.N
-			havePending = true
-		case Read:
-			ops = append(ops, Op{N: pending, Arg: e.Addr<<2 | OpRead})
-			pending = 0
-			havePending = false
-		case Write:
-			ops = append(ops, Op{N: pending, Arg: e.Addr<<2 | OpWrite})
-			pending = 0
-			havePending = false
-		case Barrier:
-			ops = append(ops, Op{N: pending, Arg: OpBarrier})
-			pending = 0
-			havePending = false
-		default:
-			return nil, fmt.Errorf("trace: unknown event kind %d", e.Kind)
+		if err := c.Add(e); err != nil {
+			return nil, err
 		}
 	}
-	flush()
-	return ops, nil
+	c.Flush()
+	return c.Ops, nil
+}
+
+// OpCompiler compiles events into ops one at a time, fusing each compute
+// gap with the action that follows it. Stream.Ops compiles whole streams
+// through it and the streaming simulator compiles barrier-delimited chunks
+// through it, so both apply one fusion rule. A barrier consumes the pending
+// gap, so chunks that each end at a barrier concatenate to the whole-stream
+// compile.
+type OpCompiler struct {
+	Ops         []Op // the ops compiled so far
+	pending     uint64
+	havePending bool
+}
+
+// Add compiles one event. An unknown kind, or a reference beyond MaxAddr
+// (which the packed op cannot hold), is an error and leaves the compiler
+// unchanged.
+func (c *OpCompiler) Add(e Event) error {
+	var arg uint64
+	switch e.Kind {
+	case Compute:
+		// Two computes in a row stay two ops: fusing them into one N1+N2
+		// advance would change the float arithmetic sequence.
+		c.Flush()
+		c.pending, c.havePending = e.N, true
+		return nil
+	case Read:
+		arg = e.Addr<<2 | OpRead
+	case Write:
+		arg = e.Addr<<2 | OpWrite
+	case Barrier:
+		arg = OpBarrier
+	default:
+		return fmt.Errorf("trace: unknown event kind %d", e.Kind)
+	}
+	if e.Addr > MaxAddr && e.Kind != Barrier {
+		return fmt.Errorf("trace: address %#x beyond the simulable range (%#x)", e.Addr, MaxAddr)
+	}
+	c.Ops = append(c.Ops, Op{N: c.pending, Arg: arg})
+	c.pending, c.havePending = 0, false
+	return nil
+}
+
+// Flush emits a trailing compute gap as its own OpNone op.
+func (c *OpCompiler) Flush() {
+	if c.havePending {
+		c.Ops = append(c.Ops, Op{N: c.pending, Arg: OpNone})
+		c.pending, c.havePending = 0, false
+	}
 }
 
 const (

@@ -44,9 +44,7 @@ done
 # scaling is comparable across BENCH_*.json snapshots from different
 # hosts; their names keep the -N GOMAXPROCS label (the awk below strips
 # it only from serial benchmarks).
-for pkg in ./internal/sim/backend ./internal/server; do
-  go test "$pkg" -run '^$' -bench 'Parallel$' -benchtime=1x -count="$count" -cpu 1,2,4 -benchmem | tee -a "$raw"
-done
+go test ./internal/server -run '^$' -bench 'Parallel$' -benchtime=1x -count="$count" -cpu 1,2,4 -benchmem | tee -a "$raw"
 
 awk -v out="$out" '
 /^Benchmark/ {
