@@ -74,6 +74,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *sharing {
+		if err := checkSharingGroups(tr.NumCPU(), *perNode); err != nil {
+			fail(err)
+		}
+	}
+
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -126,4 +132,18 @@ func main() {
 			fmt.Printf("  LRU hit ratio at %5d items: %.4f\n", c, d.HitRatio(c))
 		}
 	}
+}
+
+// checkSharingGroups rejects a -per-node value the sharing analysis cannot
+// measure: fewer than one processor per machine, or more machines than
+// experiments.MeasureSharing tells apart.
+func checkSharingGroups(cpus, perNode int) error {
+	if perNode < 1 {
+		return fmt.Errorf("-per-node %d: a machine needs at least 1 processor", perNode)
+	}
+	if machines := (cpus + perNode - 1) / perNode; machines > experiments.MaxSharingMachines {
+		return fmt.Errorf("-per-node %d groups %d processors into %d machines; sharing analysis tells at most %d apart",
+			perNode, cpus, machines, experiments.MaxSharingMachines)
+	}
+	return nil
 }

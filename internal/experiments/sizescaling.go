@@ -33,17 +33,14 @@ func CaseSizeScaling(opts core.Options) ([]SizeScalingRow, *tabulate.Table, erro
 	var rows []SizeScalingRow
 	for _, points := range []int{1 << 8, 1 << 12, 1 << 14} {
 		w := workloads.NewFFT(points)
-		// Paper-unit characterization (items) for the β-growth claim.
-		itemChar, err := workloads.Characterize(w, workloads.CharacterizeOptions{})
+		// Paper-unit characterization (items) for the β-growth claim, and
+		// the line-granularity one that feeds the model, as in the
+		// validation figures.
+		chars, err := workloads.CharacterizeLines(w, suiteLineSizes, workloads.CharacterizeOptions{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: size scaling %d: %w", points, err)
 		}
-		// Line-granularity characterization feeds the model, as in the
-		// validation figures.
-		lineChar, err := workloads.Characterize(w, workloads.CharacterizeOptions{LineSize: 64})
-		if err != nil {
-			return nil, nil, err
-		}
+		itemChar, lineChar := chars[0], chars[1]
 		wl := ModelWorkload(lineChar)
 		tr, err := workloads.GenerateTrace(w, cfg.TotalProcs())
 		if err != nil {

@@ -102,9 +102,9 @@ func (m *flightMap[T]) get(key string, compute func() (T, error)) (T, error) {
 type Suite struct {
 	opts   Options
 	wls    []workloads.Workload
-	chars  flightMap[workloads.Characterization] // keyed name/linesize
-	traces flightMap[*trace.Trace]               // keyed name/nproc
-	shares flightMap[SharingStats]               // keyed name/nproc/perNode
+	chars  flightMap[[]workloads.Characterization] // keyed name: {item, line64}
+	traces flightMap[*trace.Trace]                 // keyed name/nproc
+	shares flightMap[SharingStats]                 // keyed name/nproc/perNode
 }
 
 // NewSuite returns a reproduction suite for the paper's four applications.
@@ -136,22 +136,37 @@ func (s *Suite) Trace(w workloads.Workload, nproc int) (*trace.Trace, error) {
 	})
 }
 
-// characterize returns (and caches) the line-granularity characterization
-// used as the model's input for validation experiments.
-func (s *Suite) characterize(w workloads.Workload) (workloads.Characterization, error) {
-	key := w.Name() + "/line64"
-	return s.chars.get(key, func() (workloads.Characterization, error) {
-		return workloads.Characterize(w, workloads.CharacterizeOptions{LineSize: 64})
+// suiteLineSizes are the granularities every Suite characterization
+// measures in its one pass: data items (Table 2) and 64-byte lines (the
+// validation model's input).
+var suiteLineSizes = []int{1, 64}
+
+// characterizations returns (and caches) the workload's item- and
+// line-granularity characterizations, computed together in one pass.
+func (s *Suite) characterizations(w workloads.Workload) ([]workloads.Characterization, error) {
+	return s.chars.get(w.Name(), func() ([]workloads.Characterization, error) {
+		return workloads.CharacterizeLines(w, suiteLineSizes, workloads.CharacterizeOptions{})
 	})
 }
 
-// characterizeItem returns (and caches) the data-item-granularity
-// characterization Table 2 reports (the paper's "unique data items").
+// characterize returns the line-granularity characterization used as the
+// model's input for validation experiments.
+func (s *Suite) characterize(w workloads.Workload) (workloads.Characterization, error) {
+	cs, err := s.characterizations(w)
+	if err != nil {
+		return workloads.Characterization{}, err
+	}
+	return cs[1], nil
+}
+
+// characterizeItem returns the data-item-granularity characterization
+// Table 2 reports (the paper's "unique data items").
 func (s *Suite) characterizeItem(w workloads.Workload) (workloads.Characterization, error) {
-	key := w.Name() + "/item"
-	return s.chars.get(key, func() (workloads.Characterization, error) {
-		return workloads.Characterize(w, workloads.CharacterizeOptions{})
-	})
+	cs, err := s.characterizations(w)
+	if err != nil {
+		return workloads.Characterization{}, err
+	}
+	return cs[0], nil
 }
 
 // ModelWorkload converts a characterization into the analytical model's

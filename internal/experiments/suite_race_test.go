@@ -55,7 +55,8 @@ func TestSuiteConcurrentAccess(t *testing.T) {
 	if want, got := int64(len(wls)*len(nprocs)), s.traces.computes.Load(); got != want {
 		t.Errorf("trace generations = %d, want exactly %d", got, want)
 	}
-	if want, got := int64(len(wls)*2), s.chars.computes.Load(); got != want {
+	// One computation serves both granularities.
+	if want, got := int64(len(wls)), s.chars.computes.Load(); got != want {
 		t.Errorf("characterizations = %d, want exactly %d", got, want)
 	}
 	if want, got := int64(len(wls)*2), s.shares.computes.Load(); got != want {

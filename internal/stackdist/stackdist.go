@@ -11,8 +11,12 @@
 // The analyzer uses the classic Fenwick-tree (binary indexed tree) marker
 // algorithm: each distinct datum keeps the position of its last reference;
 // a reference at position t to a datum last seen at position p has distance
-// equal to the number of markers in (p, t), maintained in O(log n) per
-// reference.
+// equal to the number of markers in (p, t). Only the relative order of the
+// markers matters, so when the tree runs out of positions the live markers
+// (one per distinct datum) are renumbered 1..D in their existing order and
+// the tree is rebuilt. The time axis thus stays O(footprint) long: O(log
+// footprint) per reference and O(footprint) memory, however long the
+// stream.
 //
 //chc:deterministic
 package stackdist
@@ -20,6 +24,7 @@ package stackdist
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"memhier/internal/trace"
@@ -31,17 +36,21 @@ import (
 // Storage is laid out for the ingest hot path: the distance histogram is a
 // dense slice indexed by distance (a distance never exceeds the number of
 // distinct data, so the slice is bounded by the footprint), the Fenwick
-// tree is pre-sized from the capacity hint so hinted ingestion never runs
-// the tree-growth path, and the datum -> last-position table is a
-// linear-probing hash table that resolves lookup and update with a single
-// probe per reference (a Go map costs two hashed operations here).
+// tree is pre-sized from the capacity hint and afterwards kept at no less
+// than four positions per distinct datum (so a compaction frees at least
+// three quarters of the axis and costs O(1) amortized per reference), and
+// the datum -> last-position table is a linear-probing hash table that
+// resolves lookup and update with a single probe per reference (a Go map
+// costs two hashed operations here).
 type Analyzer struct {
-	last lastTable // datum -> position of last reference (1-based in tree)
-	tree []int32   // Fenwick tree over reference positions; 1 if position is the latest ref to its datum
-	pos  int       // number of references ingested
-	hist []uint64  // hist[d] = count of references at finite distance d
-	cold uint64    // first-time references (infinite distance)
-	max  int       // max finite distance observed
+	last  lastTable // datum -> position of last reference (1-based in tree)
+	tree  []int32   // Fenwick tree over positions 1..len(tree)-1; 1 if position is the latest ref to its datum
+	pos   int       // last position used on the current time axis
+	freed uint64    // positions reclaimed by compactions: References() = freed + pos
+	marks []uint64  // compaction scratch: bitmap of live positions
+	hist  []uint64  // hist[d] = count of references at finite distance d
+	cold  uint64    // first-time references (infinite distance)
+	max   int       // max finite distance observed
 }
 
 // lastTable is an open-addressing (linear probing) hash table mapping a
@@ -97,9 +106,11 @@ func (t *lastTable) reset() {
 	t.n = 0
 }
 
-// maxRefs bounds one Analyzer's stream length: tree nodes hold int32
-// marker counts (halving the footprint the Fenwick walks traverse).
-const maxRefs = math.MaxInt32
+// maxPositions bounds the time axis: positions and tree nodes are int32
+// (halving the footprint the Fenwick walks traverse). Compaction keeps the
+// axis at a few positions per distinct datum, so this limits the
+// footprint, not the stream length.
+const maxPositions = math.MaxInt32
 
 // NewAnalyzer returns an Analyzer expecting roughly capacityHint references
 // (the structure grows as needed; the hint only pre-sizes storage).
@@ -107,8 +118,8 @@ func NewAnalyzer(capacityHint int) *Analyzer {
 	if capacityHint < 16 {
 		capacityHint = 16
 	}
-	if capacityHint > maxRefs {
-		capacityHint = maxRefs
+	if capacityHint > maxPositions {
+		capacityHint = maxPositions
 	}
 	tableHint := capacityHint / 4
 	if tableHint > 1<<20 {
@@ -129,6 +140,7 @@ func (a *Analyzer) Reset() {
 	a.tree = t
 	clear(a.hist)
 	a.pos = 0
+	a.freed = 0
 	a.cold = 0
 	a.max = 0
 }
@@ -136,6 +148,27 @@ func (a *Analyzer) Reset() {
 func (a *Analyzer) add(i, delta int) {
 	for ; i < len(a.tree); i += i & (-i) {
 		a.tree[i] += int32(delta)
+	}
+}
+
+// move shifts one marker from position p to the later position q. The
+// nodes both update paths share get −1 and +1, so each walk stops where
+// the two paths merge.
+func (a *Analyzer) move(p, q int) {
+	for p != q {
+		if p < q {
+			if p >= len(a.tree) {
+				return
+			}
+			a.tree[p]--
+			p += p & -p
+		} else {
+			if q >= len(a.tree) {
+				return
+			}
+			a.tree[q]++
+			q += q & -q
+		}
 	}
 }
 
@@ -164,42 +197,83 @@ func (a *Analyzer) rangeSum(p, q int) int {
 	return int(s)
 }
 
-// grow extends the Fenwick tree to cover position pos. A new node at index
-// i covers the range (i-lowbit(i), i]; initialize it with the mass already
-// in that range so that later prefix sums over grown indices stay correct.
-func (a *Analyzer) grow(pos int) {
-	if pos > maxRefs {
-		panic("stackdist: more than 2^31-1 references in one analyzer")
+// compact renumbers the live markers — one per distinct datum, at the
+// positions lastTable holds — to 1..D in their existing order, and
+// rebuilds the tree over the renumbered axis. Stack distances count
+// markers between two positions, which renumbering preserves. The ranks
+// come from a bitmap of live positions: the tree is about to be rebuilt,
+// so its first words hold the bitmap's running popcounts meanwhile.
+func (a *Analyzer) compact() {
+	d := a.last.n
+	if d >= maxPositions/4 {
+		panic("stackdist: more than 2^29 distinct data in one analyzer")
 	}
-	for len(a.tree) <= pos {
-		i := len(a.tree)
-		a.tree = append(a.tree, int32(a.sum(i-1)-a.sum(i-(i&-i))))
+	words := a.pos>>6 + 1
+	if cap(a.marks) < words {
+		a.marks = make([]uint64, words)
 	}
+	marks := a.marks[:words]
+	clear(marks)
+	for _, p := range a.last.pos {
+		if p != 0 {
+			marks[p>>6] |= 1 << (p & 63)
+		}
+	}
+	// rank(p) = live positions in [1, p] = live positions in earlier words
+	// plus those at or below p in its own word.
+	before := a.tree[:words]
+	n := int32(0)
+	for w, m := range marks {
+		before[w] = n
+		n += int32(bits.OnesCount64(m))
+	}
+	for i, p := range a.last.pos {
+		if p != 0 {
+			m := marks[p>>6] & (2<<(p&63) - 1)
+			a.last.pos[i] = before[p>>6] + int32(bits.OnesCount64(m))
+		}
+	}
+
+	size := len(a.tree) - 1
+	for size < 4*d {
+		size = min(2*size, maxPositions)
+	}
+	if size+1 > len(a.tree) {
+		a.tree = make([]int32, size+1)
+	}
+	// Positions 1..d are marked: node i covers (i-lowbit(i), i], so it
+	// holds the part of that range at or below d.
+	for i := 1; i < len(a.tree); i++ {
+		lo := i - i&-i
+		a.tree[i] = int32(max(0, min(i, d)-lo))
+	}
+	a.freed += uint64(a.pos - d)
+	a.pos = d
 }
 
 // Touch ingests one reference to the given datum (an opaque identity, e.g.
 // a cache-line address) and returns its stack distance, or -1 for a
 // first-time (cold) reference.
 func (a *Analyzer) Touch(datum uint64) int {
-	a.pos++
-	if len(a.tree) <= a.pos {
-		a.grow(a.pos)
+	if a.pos+1 == len(a.tree) {
+		a.compact()
 	}
+	a.pos++
 	d := -1
 	i := a.last.slot(datum)
 	if p := int(a.last.pos[i]); p != 0 {
 		// Markers strictly after p and before the current position are the
 		// distinct data touched in between.
 		d = a.rangeSum(p, a.pos-1)
-		a.add(p, -1)
+		a.move(p, a.pos)
 		a.count(d)
 	} else {
 		a.last.keys[i] = datum
 		a.last.n++
 		a.cold++
+		a.add(a.pos, 1)
 	}
 	a.last.pos[i] = int32(a.pos)
-	a.add(a.pos, 1)
 	if 2*a.last.n > len(a.last.keys) {
 		a.last.grow()
 	}
@@ -241,21 +315,21 @@ func (a *Analyzer) TouchAll(events []trace.Event, lineSize int) {
 			continue
 		}
 		datum := e.Addr >> shift
-		a.pos++
-		if len(a.tree) <= a.pos {
-			a.grow(a.pos)
+		if a.pos+1 == len(a.tree) {
+			a.compact()
 		}
+		a.pos++
 		i := a.last.slot(datum)
 		if p := int(a.last.pos[i]); p != 0 {
 			a.count(a.rangeSum(p, a.pos-1))
-			a.add(p, -1)
+			a.move(p, a.pos)
 		} else {
 			a.last.keys[i] = datum
 			a.last.n++
 			a.cold++
+			a.add(a.pos, 1)
 		}
 		a.last.pos[i] = int32(a.pos)
-		a.add(a.pos, 1)
 		if 2*a.last.n > len(a.last.keys) {
 			a.last.grow()
 		}
@@ -263,7 +337,7 @@ func (a *Analyzer) TouchAll(events []trace.Event, lineSize int) {
 }
 
 // References returns the total number of references ingested.
-func (a *Analyzer) References() uint64 { return uint64(a.pos) }
+func (a *Analyzer) References() uint64 { return a.freed + uint64(a.pos) }
 
 // Cold returns the number of first-time references.
 func (a *Analyzer) Cold() uint64 { return a.cold }

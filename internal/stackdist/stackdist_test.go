@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"memhier/internal/trace"
 )
 
 // naiveDistance recomputes stack distances with an explicit LRU stack, the
@@ -355,4 +357,93 @@ func BenchmarkTouch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.Touch(uint64(rng.Intn(1 << 16)))
 	}
+}
+
+// TestTreeSizedByFootprint pins the compacted time axis: a stream far
+// longer than the capacity hint over a small footprint keeps the tree at
+// the hint, and References still counts every reference.
+func TestTreeSizedByFootprint(t *testing.T) {
+	a := NewAnalyzer(16)
+	n := &naiveLRU{}
+	const refs = 100000
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < refs; i++ {
+		d := uint64(rng.Intn(4))
+		if got, want := a.Touch(d), n.touch(d); got != want {
+			t.Fatalf("ref %d: distance %d, want %d", i, got, want)
+		}
+	}
+	if got := a.References(); got != refs {
+		t.Errorf("References = %d, want %d", got, refs)
+	}
+	if got := len(a.tree) - 1; got != 16 {
+		t.Errorf("tree capacity = %d after %d refs over 4 data, want 16", got, refs)
+	}
+
+	// A growing footprint grows the axis by doubling, to at most 8
+	// positions per datum.
+	for i := uint64(0); i < 1000; i++ {
+		a.Touch(1000 + i)
+	}
+	if got, d := len(a.tree)-1, a.Distinct(); got < d || got > 8*d {
+		t.Errorf("tree capacity = %d for %d distinct data", got, d)
+	}
+	a.Reset()
+	if a.References() != 0 || a.Distinct() != 0 {
+		t.Errorf("Reset left References=%d Distinct=%d", a.References(), a.Distinct())
+	}
+}
+
+// FuzzAnalyzerMatchesNaive drives random datum streams into a minimally
+// sized analyzer, so tree compactions and lastTable growth interleave, and
+// checks every Touch distance and the TouchAll distribution against an
+// explicit LRU stack.
+func FuzzAnalyzerMatchesNaive(f *testing.F) {
+	f.Add(uint8(3), uint64(1), []byte{0, 1, 2, 0, 1, 2, 2, 2})
+	f.Add(uint8(255), uint64(64), []byte("the quick brown fox jumps over the lazy dog, twice: the quick brown fox"))
+	f.Add(uint8(40), uint64(1<<40), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200, 100, 50})
+	f.Fuzz(func(t *testing.T, universe uint8, stride uint64, data []byte) {
+		// Keep every address representable: TouchAll reads trace events.
+		stride %= trace.MaxAddr / 256
+		a := NewAnalyzer(16)
+		n := &naiveLRU{}
+		hist := map[int]uint64{}
+		var cold uint64
+		events := make([]trace.Event, 0, len(data)+1)
+		for i, b := range data {
+			datum := uint64(b%(universe|1)) * stride
+			got, want := a.Touch(datum), n.touch(datum)
+			if got != want {
+				t.Fatalf("ref %d datum %d: distance %d, naive %d", i, datum, got, want)
+			}
+			if want < 0 {
+				cold++
+			} else {
+				hist[want]++
+			}
+			events = append(events, trace.Event{Kind: trace.Read, Addr: datum})
+			if i%7 == 0 {
+				events = append(events, trace.Event{Kind: trace.Compute, N: 3})
+			}
+		}
+		if a.References() != uint64(len(data)) || a.Cold() != cold || a.Distinct() != len(n.stack) {
+			t.Fatalf("counters refs=%d cold=%d distinct=%d, want %d/%d/%d",
+				a.References(), a.Cold(), a.Distinct(), len(data), cold, len(n.stack))
+		}
+
+		b := NewAnalyzer(16)
+		b.TouchAll(events, 1)
+		dist := b.Distribution()
+		if dist.Cold != cold || b.References() != uint64(len(data)) {
+			t.Fatalf("TouchAll cold=%d refs=%d, want %d/%d", dist.Cold, b.References(), cold, len(data))
+		}
+		if len(dist.Distances) != len(hist) {
+			t.Fatalf("TouchAll has %d distinct distances, want %d", len(dist.Distances), len(hist))
+		}
+		for i, d := range dist.Distances {
+			if dist.Counts[i] != hist[d] {
+				t.Fatalf("TouchAll distance %d: count %d, want %d", d, dist.Counts[i], hist[d])
+			}
+		}
+	})
 }

@@ -4,9 +4,11 @@
 # Usage: scripts/bench.sh [-short] [output.json]
 #
 # Runs the simulator-engine, stack-distance, prediction-service,
-# resilient-client, cluster-serving, and sweep/budget-optimization
-# benchmark families with
-# -benchtime=1x -count=3 (best-of-3 per benchmark) and writes a JSON array
+# resilient-client, cluster-serving, sweep/budget-optimization and
+# reproduction measurement-layer (characterization, per-CPU stack
+# distances, sharing) benchmark families with
+# -benchtime=1x -count=3 (best-of-3 per benchmark; the families that need
+# more iterations say so below) and writes a JSON array
 # of {name, ns_op, allocs_op}. The output path comes from the argument,
 # else $BENCH_OUT, else BENCH_PR8.json — it is never hardcoded to one PR's
 # artifact, so each PR records its own snapshot without editing this
@@ -39,6 +41,12 @@ done
 for pkg in ./internal/client ./internal/cluster; do
   go test "$pkg" -run '^$' -bench "$pattern" -benchtime=50x -count="$count" -benchmem | tee -a "$raw"
 done
+
+# The reproduction's measurement layers: one iteration is a cold call
+# whose chunk buffers, hash tables and trees are all first-touch
+# allocations, so run a few and report the mean.
+go test ./internal/workloads -run '^$' -bench '^(BenchmarkCharacterizeLines|BenchmarkCharacterizeRadix|BenchmarkAnalyzeStreams)$' -benchtime=3x -count="$count" -benchmem | tee -a "$raw"
+go test ./internal/experiments -run '^$' -bench '^BenchmarkMeasureSharing$' -benchtime=3x -count="$count" -benchmem | tee -a "$raw"
 
 # Parallel benchmarks additionally run at fixed -cpu points so per-core
 # scaling is comparable across BENCH_*.json snapshots from different
