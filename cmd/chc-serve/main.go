@@ -19,10 +19,6 @@
 // SIGTERM triggers a graceful shutdown: /readyz starts failing, in-flight
 // requests complete, then the process exits.
 //
-// The -bench flag turns the binary into a load generator instead: it
-// starts an in-process server, replays a mixed request stream at the
-// given concurrency, and writes a throughput record (for BENCH_PR3.json).
-//
 // Cluster mode: -node and -peers turn N chc-serve processes into one
 // sharded response cache over a consistent-hash ring — each node
 // forwards misses on peer-owned keys to the owner and falls back to
@@ -32,19 +28,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -66,10 +57,6 @@ func main() {
 		sweepTime  = flag.Duration("sweep-timeout", 2*time.Minute, "/v1/sweep and /v1/batch deadline")
 		sweepMax   = flag.Int("max-sweep-points", 0, "largest accepted grid (default: 4096)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline")
-		bench      = flag.Bool("bench", false, "run the load generator instead of serving")
-		benchConc  = flag.Int("bench-concurrency", 8, "load generator client goroutines")
-		benchDur   = flag.Duration("bench-duration", 3*time.Second, "load generator run time")
-		benchOut   = flag.String("bench-out", "", "write the throughput record to this file (default stdout)")
 		faultName  = flag.String("faults", "", "inject faults from this profile (none, latency, errors, panics, saturation, timeouts, mixed); empty disables injection")
 		faultSeed  = flag.Int64("faults-seed", 1, "fault injection seed (same seed, same fault sequence)")
 		nodeName   = flag.String("node", "", "this node's name in cluster mode (must be a key of -peers)")
@@ -120,13 +107,6 @@ func main() {
 		}
 		cfg.Forwarder = clu
 		log.Printf("chc-serve: cluster mode: node %s, %d members, %d replica(s) per key", *nodeName, len(peers), *replicas)
-	}
-
-	if *bench {
-		if err := runBench(cfg, *benchConc, *benchDur, *benchOut); err != nil {
-			log.Fatalf("chc-serve -bench: %v", err)
-		}
-		return
 	}
 
 	s := server.New(cfg)
@@ -189,96 +169,3 @@ func parsePeers(list string) (map[string]string, error) {
 	}
 	return peers, nil
 }
-
-// benchMix is the load generator's request stream: a cache-friendly
-// predict mix over the paper's configurations and workloads plus the
-// occasional optimize call.
-func benchMix() []struct{ path, body string } {
-	var mix []struct{ path, body string }
-	for _, c := range []string{"C1", "C4", "C8", "C11", "C15"} {
-		for _, w := range []string{"fft", "lu", "radix", "edge", "tpcc"} {
-			mix = append(mix, struct{ path, body string }{
-				"/v1/predict",
-				fmt.Sprintf(`{"config":{"name":%q},"workload":{"name":%q}}`, c, w),
-			})
-		}
-	}
-	mix = append(mix, struct{ path, body string }{
-		"/v1/optimize", `{"budget":5000,"workload":{"name":"radix"}}`,
-	})
-	return mix
-}
-
-// runBench drives an in-process handler (no sockets: measures the service
-// stack, not the kernel's TCP path) and writes a JSON throughput record.
-func runBench(cfg server.Config, concurrency int, duration time.Duration, out string) error {
-	s := server.New(cfg)
-	defer s.Close()
-	h := s.Handler()
-	mix := benchMix()
-
-	var requests, failures atomic.Int64
-	deadline := time.Now().Add(duration)
-	var wg sync.WaitGroup
-	for c := 0; c < concurrency; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			i := c
-			for time.Now().Before(deadline) {
-				m := mix[i%len(mix)]
-				i++
-				req, err := http.NewRequest(http.MethodPost, m.path, bytes.NewReader([]byte(m.body)))
-				if err != nil {
-					failures.Add(1)
-					continue
-				}
-				rec := &countingWriter{header: make(http.Header)}
-				h.ServeHTTP(rec, req)
-				requests.Add(1)
-				if rec.status >= 400 {
-					failures.Add(1)
-				}
-			}
-		}(c)
-	}
-	start := time.Now()
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	record := map[string]any{
-		"benchmark":      "chc-serve-load",
-		"concurrency":    concurrency,
-		"duration_s":     elapsed.Seconds(),
-		"requests":       requests.Load(),
-		"failures":       failures.Load(),
-		"requests_per_s": float64(requests.Load()) / elapsed.Seconds(),
-		"metrics":        s.Metrics(),
-	}
-	b, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(b)
-		return err
-	}
-	return os.WriteFile(out, b, 0o644)
-}
-
-// countingWriter is a minimal ResponseWriter for the in-process load
-// generator: it discards bodies and keeps the status.
-type countingWriter struct {
-	header http.Header
-	status int
-}
-
-func (w *countingWriter) Header() http.Header { return w.header }
-func (w *countingWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return io.Discard.Write(b)
-}
-func (w *countingWriter) WriteHeader(code int) { w.status = code }

@@ -9,7 +9,7 @@ import (
 )
 
 // workloadJSON is the on-disk schema for a model workload, so users can
-// describe their own applications to chc-model/chc-opt/chc-advisor without
+// describe their own applications to chc model/opt/advisor without
 // writing Go. All fields beyond alpha/beta/gamma are optional.
 type workloadJSON struct {
 	Name              string  `json:"name"`

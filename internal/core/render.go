@@ -7,7 +7,7 @@ import (
 
 // RenderResult writes the human-readable evaluation report: the platform
 // and workload lines, T and E(Instr), and the per-level breakdown. It is
-// the single source of this format — the chc-model CLI prints it and the
+// the single source of this format — `chc model` prints it and the
 // chc-serve /v1/predict endpoint embeds it, so the two are byte-identical
 // for the same configuration and workload.
 func RenderResult(w io.Writer, wl Workload, res Result) {

@@ -40,17 +40,10 @@ func PaperTPCC() Workload {
 }
 
 // PaperWorkload returns the named Table 2 workload ("FFT", "LU", "Radix",
-// "EDGE", or "TPC-C").
+// "EDGE", or "TPC-C"), spelled any way PaperWorkloadByName accepts.
 func PaperWorkload(name string) (Workload, bool) {
-	if name == "TPC-C" {
-		return PaperTPCC(), true
-	}
-	for _, w := range PaperWorkloads() {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return Workload{}, false
+	w, err := PaperWorkloadByName(name)
+	return w, err == nil
 }
 
 // PaperWorkloadNames returns the canonical Table 2 workload names in the
@@ -59,8 +52,8 @@ func PaperWorkloadNames() []string {
 	return []string{"FFT", "LU", "Radix", "EDGE", "TPC-C"}
 }
 
-// PaperWorkloadByName is the error-returning registry lookup shared by the
-// CLIs and the chc-serve API: it resolves a Table 2 workload
+// PaperWorkloadByName is the one Table 2 workload lookup, shared by the
+// chc subcommands and the chc-serve API: it resolves a Table 2 workload
 // case-insensitively and accepts the kernel-style aliases ("fft", "tpcc",
 // "tpc-c"). The error names the available set.
 func PaperWorkloadByName(name string) (Workload, error) {

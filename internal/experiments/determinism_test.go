@@ -9,7 +9,7 @@ import (
 
 // TestArtifactPipelineRunToRunDeterminism is the runtime witness for what
 // the detorder analyzer enforces statically: two completely independent
-// runs of the chc-repro artifact pipeline — fresh Suite, fresh caches,
+// runs of the chc repro artifact pipeline — fresh Suite, fresh caches,
 // different worker counts (-parallel 1 vs -parallel 8) — must produce
 // byte-identical deterministic artifacts. Where detorder proves no map
 // order, wall clock, or global randomness *can* leak into the output, this

@@ -23,8 +23,8 @@ func MeasuredWorkload(name string) (core.Workload, workloads.Characterization, e
 	return ModelWorkload(c), c, nil
 }
 
-// ResolveWorkload is the one name→workload registry shared by chc-model,
-// chc-advisor, and the chc-serve API: paper Table 2 parameters by default,
+// ResolveWorkload is the one name→workload registry shared by chc model,
+// chc advisor, and the chc-serve API: paper Table 2 parameters by default,
 // or an on-the-fly characterization of the instrumented kernel when
 // measured is set. Names are case-insensitive in both modes.
 func ResolveWorkload(name string, measured bool) (core.Workload, error) {
@@ -36,7 +36,7 @@ func ResolveWorkload(name string, measured bool) (core.Workload, error) {
 }
 
 // Artifact returns the named artifact from the suite's registry (the same
-// list -all renders), so chc-repro's per-table flags and any future caller
+// list -all renders), so chc repro's per-table flags and any future caller
 // share one name→renderer table instead of duplicating the dispatch.
 func (s *Suite) Artifact(name string) (Artifact, error) {
 	arts := s.Artifacts()

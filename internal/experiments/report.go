@@ -13,7 +13,7 @@ import (
 // WriteReport renders the full reproduction as a self-contained Markdown
 // report: every table and figure with paper-vs-measured commentary, the
 // case studies, and the extension experiments. It is the document form of
-// WriteAll (`chc-repro -report`).
+// WriteAll (`chc repro -report`).
 func WriteReport(w io.Writer, opts Options) error {
 	s := NewSuite(opts)
 

@@ -33,7 +33,7 @@ const MaxSharingMachines = 64
 // most MaxSharingMachines machines: beyond that, machine m shares machine
 // m mod 64's coherence bit and the coherence miss rate is wrong, so
 // callers taking the grouping from outside the program must check it
-// (chc-trace does).
+// (chc trace does).
 func MeasureSharing(tr *trace.Trace, procsPerNode int) SharingStats {
 	if procsPerNode < 1 {
 		procsPerNode = 1

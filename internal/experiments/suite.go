@@ -45,7 +45,7 @@ type Options struct {
 	Model core.Options
 	// GeneratedAt, when non-empty, is embedded in the report header.
 	// Leaving it empty (the default) keeps WriteReport byte-identical
-	// run-to-run; callers that want a stamp (chc-repro -stamp) must say
+	// run-to-run; callers that want a stamp (chc repro -stamp) must say
 	// so explicitly and thereby opt out of determinism.
 	GeneratedAt string
 }

@@ -157,7 +157,7 @@ func RenderArtifacts(w io.Writer, arts []Artifact, workers int, progress Progres
 }
 
 // WriteAll renders the complete reproduction — every table, every figure,
-// and the §6 case studies — to w. It is what `chc-repro -all` runs.
+// and the §6 case studies — to w. It is what `chc repro -all` runs.
 // Rendering is serial at the artifact level (each figure still fans its
 // validation matrix out internally); WriteAllParallel adds artifact-level
 // concurrency with byte-identical output.

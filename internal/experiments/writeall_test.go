@@ -73,7 +73,7 @@ func TestWriteAllParallelDeterminism(t *testing.T) {
 }
 
 // TestWriteAllMatchesWriteAllParallel checks the user-facing entry points:
-// modulo the wall-clock §5.3 timing line, `chc-repro -all` output is
+// modulo the wall-clock §5.3 timing line, `chc repro -all` output is
 // byte-identical for any -parallel value.
 func TestWriteAllMatchesWriteAllParallel(t *testing.T) {
 	if testing.Short() {

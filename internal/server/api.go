@@ -29,7 +29,7 @@ import (
 
 // ConfigSpec selects the platform of a request: either a catalog
 // configuration C1–C15 by name, or a custom platform description in the
-// chc-model CLI's vocabulary.
+// `chc model` vocabulary.
 type ConfigSpec struct {
 	// Name is a catalog configuration (C1–C15); when set, the remaining
 	// fields are ignored.
@@ -120,7 +120,7 @@ func (c ConfigSpec) Resolve() (machine.Config, error) {
 // (Table 2 parameters; names are case-insensitive, kernel aliases accepted),
 // the same name with measured=true for an on-the-fly characterization of
 // the instrumented Go kernel, or a full inline workload description in the
-// chc-model -workload-file schema.
+// chc model -workload-file schema.
 type WorkloadSpec struct {
 	Name     string         `json:"name,omitempty"`
 	Measured bool           `json:"measured,omitempty"`
@@ -140,7 +140,7 @@ func (w WorkloadSpec) Validate() error {
 	return nil
 }
 
-// PredictRequest asks for one model evaluation (the chc-model CLI as an
+// PredictRequest asks for one model evaluation (`chc model` as an
 // API call).
 type PredictRequest struct {
 	Config   ConfigSpec   `json:"config"`
@@ -151,7 +151,7 @@ type PredictRequest struct {
 }
 
 // PredictResponse carries the solved model plus the exact text the
-// chc-model CLI would print (byte-identical by construction: both sides
+// chc model CLI would print (byte-identical by construction: both sides
 // call core.RenderResult).
 type PredictResponse struct {
 	Result core.Result `json:"result"`

@@ -75,7 +75,7 @@ func TestPredictGolden(t *testing.T) {
 			resp.Result.T, resp.Result.EInstr, want.T, want.EInstr)
 	}
 
-	// The Text field must be byte-identical to what the chc-model CLI
+	// The Text field must be byte-identical to what `chc model`
 	// prints: both sides render through core.RenderResult.
 	var cli bytes.Buffer
 	core.RenderResult(&cli, wl, want)

@@ -110,7 +110,7 @@ func PaperWorkloads() []Workload { return core.PaperWorkloads() }
 // PaperTPCC returns the §5.2 TPC-C characterization.
 func PaperTPCC() Workload { return core.PaperTPCC() }
 
-// PaperWorkload looks up a Table 2 workload by name.
+// PaperWorkload looks up a Table 2 workload by name, case-insensitively.
 func PaperWorkload(name string) (Workload, bool) { return core.PaperWorkload(name) }
 
 // Catalogs of the paper's evaluated configurations (Tables 3–5).
@@ -240,5 +240,5 @@ func MeasureSharing(tr *Trace, procsPerNode int) experiments.SharingStats {
 }
 
 // WriteReproduction renders the full reproduction (all tables, figures and
-// case studies) to w. It is the library form of `chc-repro -all`.
+// case studies) to w. It is the library form of `chc repro -all`.
 func WriteReproduction(w io.Writer) error { return experiments.WriteAll(w, experiments.Options{}) }

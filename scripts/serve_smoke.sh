@@ -2,9 +2,9 @@
 # serve_smoke.sh — end-to-end smoke test of the chc-serve service.
 #
 # Builds the server, starts it on a scratch port, waits for /healthz,
-# checks one golden /v1/predict answer against the chc-model CLI (the two
-# must be byte-identical: both render through core.RenderResult), verifies
-# the repeat request is a cache hit, and shuts the server down gracefully.
+# checks one golden /v1/predict answer against `chc model` (the two must
+# be byte-identical: both render through core.RenderResult), verifies the
+# repeat request is a cache hit, and shuts the server down gracefully.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,8 +13,7 @@ bin=$(mktemp -d)
 trap 'kill "$pid" 2>/dev/null || true; wait "$pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
 
 go build -o "$bin/chc-serve" ./cmd/chc-serve
-go build -o "$bin/chc-model" ./cmd/chc-model
-go build -o "$bin/chc-sweep" ./cmd/chc-sweep
+go build -o "$bin/chc" ./cmd/chc
 
 "$bin/chc-serve" -addr "$addr" &
 pid=$!
@@ -30,15 +29,15 @@ echo "healthz/readyz ok"
 
 req='{"config":{"name":"C4"},"workload":{"name":"fft"}}'
 api_text=$(curl -fsS -X POST -d "$req" "http://$addr/v1/predict" | jq -r .text)
-cli_text=$("$bin/chc-model" -config C4 -workload fft)
+cli_text=$("$bin/chc" model -config C4 -workload fft)
 
 # jq -r strips at most one trailing newline, as does $() on the CLI output.
 if [ "$api_text" != "$cli_text" ]; then
-  echo "FAIL: /v1/predict text diverges from chc-model output" >&2
+  echo "FAIL: /v1/predict text diverges from chc model output" >&2
   diff <(printf '%s' "$api_text") <(printf '%s\n' "$cli_text") >&2 || true
   exit 1
 fi
-echo "golden predict ok (byte-identical to chc-model)"
+echo "golden predict ok (byte-identical to chc model)"
 
 hit=$(curl -fsS -D - -o /dev/null -X POST -d "$req" "http://$addr/v1/predict" |
   tr -d '\r' | awk 'tolower($1)=="x-cache:"{print $2}')
@@ -86,10 +85,10 @@ if [ "$hit" != "hit" ]; then
 fi
 echo "sweep warms predict cache ok"
 
-# The chc-sweep driver reproduces the paper's full Fig. 2-4 grid in one
+# The chc sweep driver reproduces the paper's full Fig. 2-4 grid in one
 # request (exit 2 if any point errored).
-"$bin/chc-sweep" -addr "http://$addr" >/dev/null
-echo "chc-sweep full-grid ok"
+"$bin/chc" sweep -addr "http://$addr" >/dev/null
+echo "chc sweep full-grid ok"
 
 curl -fsS "http://$addr/metrics" | grep -q '"cache_hits"'
 echo "metrics ok"
