@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"memhier/internal/experiments"
 	"memhier/internal/machine"
 	"memhier/internal/sim/backend"
-	"memhier/internal/trace"
 	"memhier/internal/workloads"
 )
 
@@ -54,17 +54,7 @@ func simulate(stdout io.Writer, k workloads.Workload, cfg machine.Config, stream
 	procs := cfg.TotalProcs()
 	if stream {
 		fmt.Fprintf(stdout, "stream-simulating %s on %d processors...\n", k.Name(), procs)
-		sys, err := backend.NewSystem(cfg)
-		if err != nil {
-			return backend.RunResult{}, err
-		}
-		var opts []backend.StreamOption
-		if h, ok := k.(workloads.EventHinter); ok {
-			opts = append(opts, backend.WithEventHint(h.EventHint(procs)))
-		}
-		return backend.StreamRun(sys, procs, func(sink trace.Sink) error {
-			return k.Run(procs, sink)
-		}, opts...)
+		return experiments.StreamSimulate(k, cfg)
 	}
 	fmt.Fprintf(stdout, "generating %s trace for %d processors...\n", k.Name(), procs)
 	tr, err := workloads.GenerateTrace(k, procs)

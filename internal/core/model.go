@@ -74,7 +74,7 @@ type Workload struct {
 	// RemoteShare is the fraction of the application's references that
 	// touch data homed on another machine of the cluster (measurable from
 	// the multiprocessor address stream by first-touch partition analysis;
-	// see experiments.RemoteShareOf). The cluster levels add
+	// see experiments.MeasureSharing). The cluster levels add
 	// RemoteShare × (cache-miss fraction) of sharing traffic on top of the
 	// capacity tail: a cache miss to remotely homed data crosses the
 	// network no matter how large the local memory is. Zero (the default)

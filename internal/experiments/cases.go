@@ -147,7 +147,7 @@ func (s *Suite) ModelVsSimSpeed() (SpeedComparison, error) {
 		return SpeedComparison{}, err
 	}
 	wl := ModelWorkload(char)
-	tr, err := s.Trace(w, cfg.TotalProcs())
+	tr, err := workloads.GenerateTrace(w, cfg.TotalProcs())
 	if err != nil {
 		return SpeedComparison{}, err
 	}

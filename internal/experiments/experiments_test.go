@@ -112,6 +112,11 @@ func TestFigure2SMPValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkValidation(t, v, 60)
+	// On its own, Figure 2 streams only C1–C6: 4 kernels × 2 and 4
+	// processors.
+	if got := s.passes.Load(); got != 8 {
+		t.Errorf("streamed passes = %d, want 8", got)
+	}
 }
 
 func TestFigure3ClusterWSValidation(t *testing.T) {
@@ -218,9 +223,6 @@ func TestMeasureSharingDisjointPartitions(t *testing.T) {
 	// Empty trace.
 	if e := MeasureSharing(trace.New(1), 1); e.RemoteShare != 0 || e.CoherenceMissRate != 0 {
 		t.Errorf("empty trace: %+v", e)
-	}
-	if got := RemoteShareOf(tr, 1); got != 0 {
-		t.Errorf("RemoteShareOf = %v", got)
 	}
 }
 
@@ -356,20 +358,40 @@ func TestCalibrateCoherenceAdjust(t *testing.T) {
 	}
 }
 
+// TestCalibrateSimulatesOnce: the calibration sweep evaluates the model
+// once per delta over a single simulated side — one streamed pass per
+// workload at C8's processor count, not one simulation per delta.
+func TestCalibrateSimulatesOnce(t *testing.T) {
+	s := NewSuite(Options{})
+	if _, _, err := s.CalibrateCoherenceAdjust(machine.WSCatalog()[1:2], nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.sims.computes.Load(); got != 1 {
+		t.Errorf("simulated sides computed = %d across 21 deltas, want 1", got)
+	}
+	if got, want := s.passes.Load(), int64(len(s.Workloads())); got != want {
+		t.Errorf("streamed passes = %d, want %d", got, want)
+	}
+}
+
 func TestSuiteCaching(t *testing.T) {
 	s := NewSuite(Options{})
+	set := machine.WSCatalog()[:1] // C7: 2 processors
+	v1, err := s.simulated(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := s.simulated(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1 != v2 {
+		t.Error("simulated side not cached")
+	}
+	if got, want := s.passes.Load(), int64(len(s.Workloads())); got != want {
+		t.Errorf("streamed passes = %d, want %d", got, want)
+	}
 	w := s.Workloads()[1] // LU
-	t1, err := s.Trace(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := s.Trace(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t2 {
-		t.Error("trace not cached")
-	}
 	c1, err := s.characterize(w)
 	if err != nil {
 		t.Fatal(err)

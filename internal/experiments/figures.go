@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"memhier/internal/core"
 	"memhier/internal/machine"
-	"memhier/internal/sim/backend"
 	"memhier/internal/tabulate"
 	"memhier/internal/workloads"
 )
@@ -100,105 +98,101 @@ func (v Validation) Table() *tabulate.Table {
 	return t
 }
 
-// validate runs the model and the simulator for every (config, workload)
-// pair on capacity-scaled configurations. The whole pair — trace
-// generation, characterization, sharing measurement, model evaluation, and
-// simulation — fans out over a bounded worker pool sized by
-// runtime.NumCPU; the Suite's single-flight caches guarantee each
-// (workload, nproc) trace is generated exactly once even though many pairs
-// demand it concurrently. Results keep deterministic order.
-func (s *Suite) validate(title string, cfgs []machine.Config) (Validation, error) {
-	type job struct {
-		name   string
-		scaled machine.Config
-		wl     workloads.Workload
+// validate evaluates the model for every (config, workload) pair of cfgs
+// on capacity-scaled configurations against the cached simulated side of
+// set, which must contain cfgs. The simulated side streams one generator
+// pass per (workload, processor count) of set; the characterizations the
+// model needs run beside it, so only the model rows wait for them. Rows
+// keep the order of cfgs, then workloads.
+func (s *Suite) validate(title string, cfgs, set []machine.Config) (Validation, error) {
+	chars := make([]workloads.Characterization, len(s.wls))
+	charErrs := make([]error, len(s.wls))
+	var wg sync.WaitGroup
+	for i, w := range s.wls {
+		wg.Add(1)
+		go func(i int, w workloads.Workload) {
+			defer wg.Done()
+			chars[i], charErrs[i] = s.characterize(w)
+		}(i, w)
 	}
-	var jobs []job
+	side, err := s.simulated(set)
+	wg.Wait()
+	if err != nil {
+		return Validation{}, err
+	}
+	for _, err := range charErrs {
+		if err != nil {
+			return Validation{}, err
+		}
+	}
+
+	var rows []ValidationRow
 	for _, cfg := range cfgs {
 		scaled, err := s.scaledConfig(cfg)
 		if err != nil {
 			return Validation{}, fmt.Errorf("experiments: %s: %w", cfg.Name, err)
 		}
-		for _, w := range s.wls {
-			jobs = append(jobs, job{name: cfg.Name, scaled: scaled, wl: w})
-		}
-	}
-
-	rows := make([]ValidationRow, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, runtime.NumCPU())
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			j := jobs[i]
-			wlName := j.wl.Name()
-			char, err := s.characterize(j.wl)
+		for i, w := range s.wls {
+			pt, ok := side.points[pointKey(scaled, w)]
+			if !ok {
+				return Validation{}, fmt.Errorf("experiments: %s/%s is not in the simulated set", scaled.Name, w.Name())
+			}
+			wl := ModelWorkload(chars[i])
+			if scaled.N > 1 {
+				wl.RemoteShare = pt.share.RemoteShare
+				wl.CoherenceMissRate = pt.share.CoherenceMissRate
+			}
+			res, err := core.Evaluate(scaled, wl, s.opts.Model)
 			if err != nil {
-				errs[i] = err
-				return
+				return Validation{}, fmt.Errorf("experiments: model %s/%s: %w", scaled.Name, w.Name(), err)
 			}
-			wl := ModelWorkload(char)
-			tr, err := s.Trace(j.wl, j.scaled.TotalProcs())
-			if err != nil {
-				errs[i] = err
-				return
+			row := ValidationRow{Config: cfg.Name, Workload: w.Name(),
+				ModelE: res.EInstr, SimE: pt.simE}
+			if pt.simE > 0 {
+				row.DiffPct = (res.EInstr - pt.simE) / pt.simE * 100
 			}
-			if j.scaled.N > 1 {
-				sh := s.sharing(wlName, tr, j.scaled.Procs)
-				wl.RemoteShare = sh.RemoteShare
-				wl.CoherenceMissRate = sh.CoherenceMissRate
-			}
-			res, err := core.Evaluate(j.scaled, wl, s.opts.Model)
-			if err != nil {
-				errs[i] = fmt.Errorf("experiments: model %s/%s: %w", j.scaled.Name, wlName, err)
-				return
-			}
-			sim, err := backend.Simulate(tr, j.scaled)
-			if err != nil {
-				errs[i] = fmt.Errorf("experiments: sim %s/%s: %w", j.scaled.Name, wlName, err)
-				return
-			}
-			row := ValidationRow{Config: j.name, Workload: wlName,
-				ModelE: res.EInstr, SimE: sim.EInstr}
-			if sim.EInstr > 0 {
-				row.DiffPct = (res.EInstr - sim.EInstr) / sim.EInstr * 100
-			}
-			rows[i] = row
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Validation{}, err
+			rows = append(rows, row)
 		}
 	}
 	return Validation{Title: title, Rows: rows}, nil
 }
 
-// Figure2 reproduces Figure 2: modeled vs simulated E(Instr) on the SMP
-// configurations C1–C6 (capacity-scaled; see package comment).
-func (s *Suite) Figure2() (Validation, error) {
-	return s.validate("Figure 2: modeled vs simulated E(Instr) on SMPs (C1-C6)",
-		machine.SMPCatalog())
+// validationFigures lists Figures 2–4 by figure number: title and
+// configurations.
+var validationFigures = map[int]struct {
+	title string
+	cfgs  func() []machine.Config
+}{
+	2: {"Figure 2: modeled vs simulated E(Instr) on SMPs (C1-C6)", machine.SMPCatalog},
+	3: {"Figure 3: modeled vs simulated E(Instr) on clusters of workstations (C7-C11)", machine.WSCatalog},
+	4: {"Figure 4: modeled vs simulated E(Instr) on clusters of SMPs (C12-C15)", machine.SMPClusterCatalog},
 }
+
+// figure validates Figure n's configurations against the simulated side of
+// set, or of the figure's own configurations when set is nil. The full
+// reproduction passes C1–C15 for all three figures, so one streamed pass
+// per (workload, processor count) serves them all.
+func (s *Suite) figure(n int, set []machine.Config) (Validation, error) {
+	f := validationFigures[n]
+	cfgs := f.cfgs()
+	if set == nil {
+		set = cfgs
+	}
+	return s.validate(f.title, cfgs, set)
+}
+
+// Figure2 reproduces Figure 2: modeled vs simulated E(Instr) on the SMP
+// configurations C1–C6 (capacity-scaled; see package comment). On its own
+// it simulates only C1–C6.
+func (s *Suite) Figure2() (Validation, error) { return s.figure(2, nil) }
 
 // Figure3 reproduces Figure 3: modeled vs simulated E(Instr) on the
 // clusters of workstations C7–C11.
-func (s *Suite) Figure3() (Validation, error) {
-	return s.validate("Figure 3: modeled vs simulated E(Instr) on clusters of workstations (C7-C11)",
-		machine.WSCatalog())
-}
+func (s *Suite) Figure3() (Validation, error) { return s.figure(3, nil) }
 
 // Figure4 reproduces Figure 4: modeled vs simulated E(Instr) on the
 // clusters of SMPs C12–C15.
-func (s *Suite) Figure4() (Validation, error) {
-	return s.validate("Figure 4: modeled vs simulated E(Instr) on clusters of SMPs (C12-C15)",
-		machine.SMPClusterCatalog())
-}
+func (s *Suite) Figure4() (Validation, error) { return s.figure(4, nil) }
 
 // CalibrateCoherenceAdjust searches for the remote-rate adjustment δ that
 // minimizes the mean |model−sim| difference over the given cluster
@@ -219,7 +213,7 @@ func (s *Suite) CalibrateCoherenceAdjust(cfgs []machine.Config, deltas []float64
 		if d == 0 {
 			s.opts.Model.CoherenceAdjust = -1 // 0 means "paper default"; -1 disables
 		}
-		v, err := s.validate("calibration", cfgs)
+		v, err := s.validate("calibration", cfgs, cfgs)
 		if err != nil {
 			return 0, 0, err
 		}

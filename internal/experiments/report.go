@@ -17,18 +17,18 @@ import (
 func WriteReport(w io.Writer, opts Options) error {
 	s := NewSuite(opts)
 
-	// The three validation figures dominate the report's cost and are
-	// independent; compute them concurrently against the shared Suite
-	// (safe: its caches are single-flight) while the front matter renders.
+	// The three validation figures dominate the report's cost and share
+	// one simulated side of C1–C15; compute them while the front matter
+	// renders (safe: the Suite's caches are single-flight).
 	figs := make([]Validation, 3)
 	figErrs := make([]error, 3)
 	var figWg sync.WaitGroup
-	for i, fig := range []func() (Validation, error){s.Figure2, s.Figure3, s.Figure4} {
+	for i := range figs {
 		figWg.Add(1)
-		go func(i int, fig func() (Validation, error)) {
+		go func(i int) {
 			defer figWg.Done()
-			figs[i], figErrs[i] = fig()
-		}(i, fig)
+			figs[i], figErrs[i] = s.figure(i+2, machine.Catalog())
+		}(i)
 	}
 
 	fmt.Fprintf(w, "# Reproduction report — Du & Zhang, IPPS 1999\n\n")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"memhier/internal/machine"
@@ -102,10 +103,73 @@ func FuzzMeasureSharing(f *testing.F) {
 				s.AddCompute(1)
 			}
 		}
-		if got, want := MeasureSharing(tr, pn), measureSharingMap(tr, pn); got != want {
+		want := measureSharingMap(tr, pn)
+		if got := MeasureSharing(tr, pn); got != want {
 			t.Fatalf("MeasureSharing(%d CPUs, %d per node) = %+v, reference %+v", ncpu, pn, got, want)
 		}
+		// Streamed in any emission order that keeps each processor's own
+		// order — here one processor's whole stream after another's, and a
+		// seed-drawn interleaving of runs — the accumulator must agree,
+		// under a second grouping sharing its order buffer too.
+		pn2 := 1 + int(seed%uint64(ncpu))
+		want2 := MeasureSharing(tr, pn2)
+		for _, order := range []string{"sequential", "interleaved"} {
+			a := newSharingAccumulator(int(ncpu), pn, pn2)
+			emitInOrder(a, tr, seed, order == "interleaved")
+			got := a.stats()
+			if got[0] != want {
+				t.Fatalf("%s stream (%d CPUs, %d per node) = %+v, MeasureSharing %+v", order, ncpu, pn, got[0], want)
+			}
+			if got[1] != want2 {
+				t.Fatalf("%s stream (%d CPUs, %d per node) = %+v, MeasureSharing %+v", order, ncpu, pn2, got[1], want2)
+			}
+		}
 	})
+}
+
+// emitInOrder emits tr's events into sink keeping each processor's order.
+// Sequential emits the processors one after another; otherwise a generator
+// seeded by seed picks the next processor and the length of its run. Some
+// compute gaps arrive split in two, or after an empty gap, as generators
+// may emit them before a Trace coalesces them.
+func emitInOrder(sink trace.Sink, tr *trace.Trace, seed uint64, interleave bool) {
+	next := make([]int, tr.NumCPU())
+	x := seed | 1
+	rnd := func(n int) int {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int(x % uint64(n))
+	}
+	emit := func(cpu int, e trace.Event) {
+		if e.Kind == trace.Compute && rnd(2) == 0 {
+			sink.Emit(cpu, trace.Event{Kind: trace.Compute})
+			if e.N > 1 {
+				sink.Emit(cpu, trace.Event{Kind: trace.Compute, N: e.N - 1})
+				e.N = 1
+			}
+		}
+		sink.Emit(cpu, e)
+	}
+	for {
+		var live []int
+		for cpu, s := range tr.Streams {
+			if next[cpu] < len(s.Events) {
+				live = append(live, cpu)
+			}
+		}
+		if len(live) == 0 {
+			return
+		}
+		cpu, run := live[0], len(tr.Streams[live[0]].Events)
+		if interleave {
+			cpu, run = live[rnd(len(live))], 1+rnd(8)
+		}
+		for s := tr.Streams[cpu]; run > 0 && next[cpu] < len(s.Events); run-- {
+			emit(cpu, s.Events[next[cpu]])
+			next[cpu]++
+		}
+	}
 }
 
 // TestMeasureSharingTableGrowth drives more distinct blocks than the
@@ -158,6 +222,163 @@ func BenchmarkMeasureSharing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, j := range jobs {
 			MeasureSharing(j.tr, j.perNode)
+		}
+	}
+}
+
+// TestSharingAccumulatorCoalescesComputeGaps: a compute gap emitted in two
+// pieces, or after an empty gap, takes one stream position, and an event of
+// unknown kind none, as in a materialized Trace. Counting either would move
+// processor 0's write out from between processor 1's reads and lose the
+// coherence miss.
+func TestSharingAccumulatorCoalescesComputeGaps(t *testing.T) {
+	const x = 1 << 12
+	tr := trace.New(2)
+	tr.Streams[0].AddCompute(2)
+	tr.Streams[0].AddWrite(x)
+	tr.Streams[1].AddRead(x)
+	tr.Streams[1].AddRead(x)
+	want := MeasureSharing(tr, 1)
+	if want.CoherenceMissRate == 0 {
+		t.Fatalf("MeasureSharing = %+v, want a coherence miss", want)
+	}
+	a := newSharingAccumulator(2, 1)
+	a.Emit(0, trace.Event{Kind: trace.Compute})
+	a.Emit(0, trace.Event{Kind: trace.Compute, N: 1})
+	a.Emit(0, trace.Event{Kind: trace.Compute, N: 1})
+	a.Emit(0, trace.Event{Kind: trace.Write, Addr: x})
+	a.Emit(1, trace.Event{Kind: 9}) // unknown: a Trace stores nothing
+	a.Emit(1, trace.Event{Kind: trace.Read, Addr: x})
+	a.Emit(1, trace.Event{Kind: trace.Read, Addr: x})
+	if got := a.stats()[0]; got != want {
+		t.Errorf("streamed %+v, MeasureSharing %+v", got, want)
+	}
+}
+
+// TestSharingAccumulatorStreamsKernels: each suite kernel streamed from its
+// generator into one accumulator over every catalog grouping of its
+// processor count (as the Suite streams them) measures exactly what
+// MeasureSharing measures on the materialized trace, and the order buffer
+// holds about a phase plus the drift between processors, not the
+// execution.
+func TestSharingAccumulatorStreamsKernels(t *testing.T) {
+	var nprocs []int
+	groupings := map[int][]int{}
+	for _, cfg := range machine.Catalog() {
+		np := cfg.TotalProcs()
+		if cfg.N <= 1 || slices.Contains(groupings[np], cfg.Procs) {
+			continue
+		}
+		if len(groupings[np]) == 0 {
+			nprocs = append(nprocs, np)
+		}
+		groupings[np] = append(groupings[np], cfg.Procs)
+	}
+	for _, np := range nprocs {
+		for _, w := range workloads.Suite(workloads.ScaleSmall) {
+			tr, err := workloads.GenerateTrace(w, np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := newSharingAccumulator(np, groupings[np]...)
+			if err := w.Run(np, a); err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range a.stats() {
+				if want := MeasureSharing(tr, groupings[np][i]); st != want {
+					t.Errorf("%s on %d processors, %d per node: streamed %+v, MeasureSharing %+v",
+						w.Name(), np, groupings[np][i], st, want)
+				}
+			}
+			phase, drift := phaseBound(tr)
+			t.Logf("%s on %d processors: order buffer peak %d references; largest phase %d, drift %d, trace %d",
+				w.Name(), np, a.peak, phase, drift, tr.MemoryRefs())
+			if a.peak > phase+drift {
+				t.Errorf("%s on %d processors: order buffer peaked at %d references, above a phase (%d) plus the drift (%d)",
+					w.Name(), np, a.peak, phase, drift)
+			}
+		}
+	}
+}
+
+// phaseBound returns the references of the trace's largest barrier phase,
+// summed over processors, and the drift: how far the processors' event
+// counts spread, summed over processors.
+func phaseBound(tr *trace.Trace) (phase, drift int) {
+	var phases []int
+	minLen := len(tr.Streams[0].Events)
+	for _, s := range tr.Streams {
+		minLen = min(minLen, len(s.Events))
+		p := 0
+		for _, e := range s.Events {
+			if p == len(phases) {
+				phases = append(phases, 0)
+			}
+			switch e.Kind {
+			case trace.Read, trace.Write:
+				phases[p]++
+			case trace.Barrier:
+				p++
+			}
+		}
+	}
+	for _, n := range phases {
+		phase = max(phase, n)
+	}
+	for _, s := range tr.Streams {
+		drift += len(s.Events) - minLen
+	}
+	return phase, drift
+}
+
+// BenchmarkSharingAccumulator is BenchmarkMeasureSharing's streamed
+// counterpart in the Suite's shape: each suite kernel at each cluster
+// processor count, recorded once in the generator's emission order (outside
+// the timer) and replayed into a fresh accumulator over every catalog
+// grouping of that count — the same five measurements per kernel.
+func BenchmarkSharingAccumulator(b *testing.B) {
+	type emitted struct {
+		cpu int
+		e   trace.Event
+	}
+	type job struct {
+		events  []emitted
+		nproc   int
+		perNode []int
+	}
+	var nprocs []int
+	groupings := map[int][]int{}
+	for _, cfg := range machine.Catalog() {
+		np := cfg.TotalProcs()
+		if cfg.N <= 1 || slices.Contains(groupings[np], cfg.Procs) {
+			continue
+		}
+		if len(groupings[np]) == 0 {
+			nprocs = append(nprocs, np)
+		}
+		groupings[np] = append(groupings[np], cfg.Procs)
+	}
+	var jobs []job
+	for _, np := range nprocs {
+		for _, w := range workloads.Suite(workloads.ScaleSmall) {
+			var events []emitted
+			if err := w.Run(np, trace.FuncSink(func(cpu int, e trace.Event) {
+				events = append(events, emitted{cpu, e})
+			})); err != nil {
+				b.Fatal(err)
+			}
+			jobs = append(jobs, job{events, np, groupings[np]})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			a := newSharingAccumulator(j.nproc, j.perNode...)
+			for _, ev := range j.events {
+				a.Emit(ev.cpu, ev.e)
+			}
+			a.stats()
 		}
 	}
 }

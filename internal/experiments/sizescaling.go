@@ -5,7 +5,6 @@ import (
 
 	"memhier/internal/core"
 	"memhier/internal/machine"
-	"memhier/internal/sim/backend"
 	"memhier/internal/tabulate"
 	"memhier/internal/workloads"
 )
@@ -42,15 +41,11 @@ func CaseSizeScaling(opts core.Options) ([]SizeScalingRow, *tabulate.Table, erro
 		}
 		itemChar, lineChar := chars[0], chars[1]
 		wl := ModelWorkload(lineChar)
-		tr, err := workloads.GenerateTrace(w, cfg.TotalProcs())
-		if err != nil {
-			return nil, nil, err
-		}
 		res, err := core.Evaluate(cfg, wl, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		sim, err := backend.Simulate(tr, cfg)
+		sim, err := StreamSimulate(w, cfg)
 		if err != nil {
 			return nil, nil, err
 		}

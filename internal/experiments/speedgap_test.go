@@ -6,6 +6,7 @@ import (
 
 	"memhier/internal/core"
 	"memhier/internal/sim/backend"
+	"memhier/internal/workloads"
 )
 
 func TestCaseSpeedGap(t *testing.T) {
@@ -56,7 +57,7 @@ func TestCaseSpeedGap(t *testing.T) {
 func TestClockScalingConsistency(t *testing.T) {
 	s := NewSuite(Options{})
 	w := s.Workloads()[0] // FFT
-	tr, err := s.Trace(w, 2)
+	tr, err := workloads.GenerateTrace(w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,23 +12,23 @@
 // simulators consume, which keeps the two sides' units consistent.
 //
 // Concurrency: a Suite is safe for concurrent use. Its caches are
-// single-flight — when several goroutines demand the same trace,
-// characterization, or sharing measurement, exactly one computes it and
-// the rest block until it lands — so the reproduction pipeline can fan
-// tables and figures out over a worker pool without duplicating the
-// expensive trace generation.
+// single-flight — when several goroutines demand the same characterization
+// or the same simulated side of a validation matrix, exactly one computes
+// it and the rest block until it lands — so the reproduction pipeline can
+// fan tables and figures out over a worker pool without duplicating the
+// expensive kernel runs. The simulated side streams each (kernel,
+// processor count) generator pass straight into its simulators and sharing
+// measurements; the Suite stores no traces.
 //
 //chc:deterministic
 package experiments
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"memhier/internal/core"
 	"memhier/internal/machine"
-	"memhier/internal/trace"
 	"memhier/internal/workloads"
 )
 
@@ -97,14 +97,17 @@ func (m *flightMap[T]) get(key string, compute func() (T, error)) (T, error) {
 	return c.val, c.err
 }
 
-// Suite caches workload traces and characterizations across experiments.
-// It is safe for concurrent use by multiple goroutines.
+// Suite caches workload characterizations and simulated validation
+// matrices across experiments. It is safe for concurrent use by multiple
+// goroutines.
 type Suite struct {
-	opts   Options
-	wls    []workloads.Workload
-	chars  flightMap[[]workloads.Characterization] // keyed name: {item, line64}
-	traces flightMap[*trace.Trace]                 // keyed name/nproc
-	shares flightMap[SharingStats]                 // keyed name/nproc/perNode
+	opts  Options
+	wls   []workloads.Workload
+	chars flightMap[[]workloads.Characterization] // keyed name: {item, line64}
+	sims  flightMap[*simulatedSide]               // keyed by the set's config names
+	// passes counts streamed generator passes, observable by tests
+	// asserting one pass per (kernel, processor count) of a set.
+	passes atomic.Int64
 }
 
 // NewSuite returns a reproduction suite for the paper's four applications.
@@ -115,26 +118,8 @@ func NewSuite(opts Options) *Suite {
 	}
 }
 
-// sharing caches MeasureSharing per (workload, trace shape, node grouping).
-func (s *Suite) sharing(name string, tr *trace.Trace, perNode int) SharingStats {
-	key := fmt.Sprintf("%s/%d/%d", name, tr.NumCPU(), perNode)
-	v, _ := s.shares.get(key, func() (SharingStats, error) {
-		return MeasureSharing(tr, perNode), nil
-	})
-	return v
-}
-
 // Workloads returns the suite's applications in the paper's order.
 func (s *Suite) Workloads() []workloads.Workload { return s.wls }
-
-// Trace returns (and caches) the workload's trace for nproc processors.
-// Under concurrent demand the trace is generated exactly once.
-func (s *Suite) Trace(w workloads.Workload, nproc int) (*trace.Trace, error) {
-	key := fmt.Sprintf("%s/%d", w.Name(), nproc)
-	return s.traces.get(key, func() (*trace.Trace, error) {
-		return workloads.GenerateTrace(w, nproc)
-	})
-}
 
 // suiteLineSizes are the granularities every Suite characterization
 // measures in its one pass: data items (Table 2) and 64-byte lines (the

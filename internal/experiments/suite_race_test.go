@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"sync"
 	"testing"
+
+	"memhier/internal/machine"
 )
 
 // TestSuiteConcurrentAccess hammers the Suite's caches from many
@@ -13,30 +16,26 @@ import (
 func TestSuiteConcurrentAccess(t *testing.T) {
 	s := NewSuite(Options{})
 	wls := s.Workloads()
-	nprocs := []int{1, 2, 4}
+	// Two sets: C7 alone (2 processors) and C12 alone (4 processors on 2
+	// machines, so its pass also measures sharing).
+	sets := [][]machine.Config{machine.WSCatalog()[:1], machine.SMPClusterCatalog()[:1]}
 	const goroutines = 16
 
+	sides := make([][]*simulatedSide, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for _, w := range wls {
-				for _, np := range nprocs {
-					tr, err := s.Trace(w, np)
-					if err != nil {
-						t.Errorf("Trace(%s, %d): %v", w.Name(), np, err)
-						return
-					}
-					if tr.NumCPU() != np {
-						t.Errorf("Trace(%s, %d) has %d streams", w.Name(), np, tr.NumCPU())
-						return
-					}
-					// Exercise the sharing cache too (2 nodes).
-					if np > 1 {
-						s.sharing(w.Name(), tr, np/2)
-					}
+			for i := range sets {
+				side, err := s.simulated(sets[(g+i)%len(sets)])
+				if err != nil {
+					t.Errorf("simulated: %v", err)
+					return
 				}
+				sides[g] = append(sides[g], side)
+			}
+			for _, w := range wls {
 				if _, err := s.characterize(w); err != nil {
 					t.Errorf("characterize(%s): %v", w.Name(), err)
 					return
@@ -50,31 +49,30 @@ func TestSuiteConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Single-flight: each distinct key computed exactly once despite 16
-	// goroutines demanding it concurrently.
-	if want, got := int64(len(wls)*len(nprocs)), s.traces.computes.Load(); got != want {
-		t.Errorf("trace generations = %d, want exactly %d", got, want)
+	// Single-flight: each set simulated once, one streamed pass per
+	// (workload, processor count), despite 16 goroutines demanding them
+	// concurrently.
+	if want, got := int64(len(sets)), s.sims.computes.Load(); got != want {
+		t.Errorf("simulated sides = %d, want exactly %d", got, want)
+	}
+	if want, got := int64(len(wls)*len(sets)), s.passes.Load(); got != want {
+		t.Errorf("streamed passes = %d, want exactly %d", got, want)
 	}
 	// One computation serves both granularities.
 	if want, got := int64(len(wls)), s.chars.computes.Load(); got != want {
 		t.Errorf("characterizations = %d, want exactly %d", got, want)
 	}
-	if want, got := int64(len(wls)*2), s.shares.computes.Load(); got != want {
-		t.Errorf("sharing measurements = %d, want exactly %d", got, want)
+	// Every goroutine got the same cached side for each set.
+	for g := range sides {
+		if len(sides[g]) != len(sets) {
+			t.Fatalf("goroutine %d got %d simulated sides, want %d", g, len(sides[g]), len(sets))
+		}
 	}
-
-	// Cached pointers are stable: a later demand returns the same trace.
-	for _, w := range wls {
-		t1, err := s.Trace(w, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t2, err := s.Trace(w, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if t1 != t2 {
-			t.Errorf("%s: trace not cached across calls", w.Name())
+	for g := range sides {
+		for i, side := range sides[g] {
+			if side != sides[0][(g+i)%len(sets)] {
+				t.Errorf("goroutine %d: set %d not cached across calls", g, (g+i)%len(sets))
+			}
 		}
 	}
 }
@@ -106,5 +104,29 @@ func TestSuiteConcurrentValidate(t *testing.T) {
 		if len(vals[i].Rows) == 0 {
 			t.Errorf("figure %d: no rows", i+2)
 		}
+	}
+}
+
+// TestReproductionStreamsOncePerPair: rendering every artifact concurrently
+// simulates Figures 2–4 as one set — 12 streamed passes, one per (kernel,
+// processor count) of C1–C15 — and characterizes each kernel once, as many
+// kernel runs as materializing the 12 traces took.
+func TestReproductionStreamsOncePerPair(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full reproduction")
+	}
+	s := NewSuite(Options{})
+	var buf bytes.Buffer
+	if err := RenderArtifacts(&buf, s.Artifacts(), 8, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.sims.computes.Load(); got != 1 {
+		t.Errorf("simulated sides = %d, want 1 (C1–C15)", got)
+	}
+	if got := s.passes.Load(); got != 12 {
+		t.Errorf("streamed passes = %d, want 12 (4 kernels × 2, 4, 8 processors)", got)
+	}
+	if got := s.chars.computes.Load(); got != 4 {
+		t.Errorf("characterization runs = %d, want 4", got)
 	}
 }

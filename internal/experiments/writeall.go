@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"memhier/internal/core"
+	"memhier/internal/machine"
 	"memhier/internal/stopwatch"
 )
 
@@ -58,15 +59,15 @@ func (s *Suite) Artifacts() []Artifact {
 		tab("table4", func() (interface{ Render(io.Writer) }, error) { return Table4(), nil }),
 		tab("table5", func() (interface{ Render(io.Writer) }, error) { return Table5(), nil }),
 		tab("figure2", func() (interface{ Render(io.Writer) }, error) {
-			v, err := s.Figure2()
+			v, err := s.figure(2, machine.Catalog())
 			return v.Table(), err
 		}),
 		tab("figure3", func() (interface{ Render(io.Writer) }, error) {
-			v, err := s.Figure3()
+			v, err := s.figure(3, machine.Catalog())
 			return v.Table(), err
 		}),
 		tab("figure4", func() (interface{ Render(io.Writer) }, error) {
-			v, err := s.Figure4()
+			v, err := s.figure(4, machine.Catalog())
 			return v.Table(), err
 		}),
 		tab("case1", func() (interface{ Render(io.Writer) }, error) {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Params characterizes a workload: the locality parameters α and β of the
@@ -167,74 +168,26 @@ func Fit(xs, ps []float64, opts FitOptions) (Params, FitStats, error) {
 		{1.2, betaSeed / 8}, {1.5, betaSeed * 8}, {3.0, betaSeed / 2},
 	}
 
+	// The starts are independent descents; they run concurrently and are
+	// reduced in start order, so the result does not depend on scheduling.
+	fits := make([]startFit, len(starts))
+	var wg sync.WaitGroup
+	for i, s := range starts {
+		wg.Add(1)
+		go func(i int, alpha, beta float64) {
+			defer wg.Done()
+			fits[i] = descend(xs, ps, w, alpha, beta, maxIter, tol)
+		}(i, s.alpha, s.beta)
+	}
+	wg.Wait()
 	best := Params{Alpha: math.NaN()}
 	bestSSE := math.Inf(1)
 	bestIter := 0
-	for _, s := range starts {
-		a := math.Log(s.alpha - 1)
-		b := math.Log(s.beta)
-		sse := sseAt(xs, ps, w, a, b)
-		lambda := 1e-3
-		iters := 0
-		for ; iters < maxIter; iters++ {
-			// Build the 2x2 normal equations J'J + lambda*diag, J'r.
-			var jtj00, jtj01, jtj11, jtr0, jtr1 float64
-			alpha := 1 + math.Exp(a)
-			beta := math.Exp(b)
-			for i := range xs {
-				u := xs[i]/beta + 1
-				pm := 1 - math.Pow(u, -(alpha-1))
-				r := ps[i] - pm
-				lnu := math.Log(u)
-				// dP/da = dP/dalpha * dalpha/da = u^-(alpha-1)*ln(u) * e^a
-				dA := math.Pow(u, -(alpha-1)) * lnu * math.Exp(a)
-				// dP/db = dP/dbeta * beta; dP/dbeta = -(alpha-1)*u^-alpha*x/beta^2
-				dB := -(alpha - 1) * math.Pow(u, -alpha) * xs[i] / beta
-				wi := 1.0
-				if w != nil {
-					wi = w[i]
-				}
-				jtj00 += wi * dA * dA
-				jtj01 += wi * dA * dB
-				jtj11 += wi * dB * dB
-				jtr0 += wi * dA * r
-				jtr1 += wi * dB * r
-			}
-			improved := false
-			for try := 0; try < 8; try++ {
-				m00 := jtj00 + lambda*(jtj00+1e-12)
-				m11 := jtj11 + lambda*(jtj11+1e-12)
-				det := m00*m11 - jtj01*jtj01
-				if det == 0 || math.IsNaN(det) {
-					lambda *= 10
-					continue
-				}
-				da := (jtr0*m11 - jtr1*jtj01) / det
-				db := (jtr1*m00 - jtr0*jtj01) / det
-				na, nb := a+da, b+db
-				// Clamp the reparameterized space to avoid overflow.
-				na = clamp(na, -20, 20)
-				nb = clamp(nb, -20, 40)
-				nsse := sseAt(xs, ps, w, na, nb)
-				if nsse < sse {
-					a, b, sse = na, nb, nsse
-					lambda = math.Max(lambda/4, 1e-12)
-					improved = true
-					break
-				}
-				lambda *= 10
-			}
-			if !improved {
-				break
-			}
-			if sse <= tol {
-				break
-			}
-		}
-		if sse < bestSSE {
-			bestSSE = sse
-			best = Params{Alpha: 1 + math.Exp(a), Beta: math.Exp(b)}
-			bestIter = iters
+	for _, f := range fits {
+		if f.sse < bestSSE {
+			bestSSE = f.sse
+			best = Params{Alpha: 1 + math.Exp(f.a), Beta: math.Exp(f.b)}
+			bestIter = f.iters
 		}
 	}
 	if math.IsNaN(best.Alpha) {
@@ -270,6 +223,81 @@ func Fit(xs, ps []float64, opts FitOptions) (Params, FitStats, error) {
 		stats.R2 = 1
 	}
 	return best, stats, nil
+}
+
+// startFit is one start's Levenberg–Marquardt descent result, in the
+// reparameterized space a = ln(α−1), b = ln β.
+type startFit struct {
+	a, b, sse float64
+	iters     int
+}
+
+// descend runs damped Gauss–Newton from (alpha, beta) until no step
+// improves the SSE, the SSE reaches tol, or maxIter iterations.
+func descend(xs, ps, w []float64, alpha0, beta0 float64, maxIter int, tol float64) startFit {
+	a := math.Log(alpha0 - 1)
+	b := math.Log(beta0)
+	sse := sseAt(xs, ps, w, a, b)
+	lambda := 1e-3
+	iters := 0
+	for ; iters < maxIter; iters++ {
+		// Build the 2x2 normal equations J'J + lambda*diag, J'r.
+		var jtj00, jtj01, jtj11, jtr0, jtr1 float64
+		ea := math.Exp(a)
+		alpha := 1 + ea
+		beta := math.Exp(b)
+		for i := range xs {
+			u := xs[i]/beta + 1
+			pu := math.Pow(u, -(alpha - 1))
+			pm := 1 - pu
+			r := ps[i] - pm
+			lnu := math.Log(u)
+			// dP/da = dP/dalpha * dalpha/da = u^-(alpha-1)*ln(u) * e^a
+			dA := pu * lnu * ea
+			// dP/db = dP/dbeta * beta; dP/dbeta = -(alpha-1)*u^-alpha*x/beta^2
+			dB := -(alpha - 1) * math.Pow(u, -alpha) * xs[i] / beta
+			wi := 1.0
+			if w != nil {
+				wi = w[i]
+			}
+			jtj00 += wi * dA * dA
+			jtj01 += wi * dA * dB
+			jtj11 += wi * dB * dB
+			jtr0 += wi * dA * r
+			jtr1 += wi * dB * r
+		}
+		improved := false
+		for try := 0; try < 8; try++ {
+			m00 := jtj00 + lambda*(jtj00+1e-12)
+			m11 := jtj11 + lambda*(jtj11+1e-12)
+			det := m00*m11 - jtj01*jtj01
+			if det == 0 || math.IsNaN(det) {
+				lambda *= 10
+				continue
+			}
+			da := (jtr0*m11 - jtr1*jtj01) / det
+			db := (jtr1*m00 - jtr0*jtj01) / det
+			na, nb := a+da, b+db
+			// Clamp the reparameterized space to avoid overflow.
+			na = clamp(na, -20, 20)
+			nb = clamp(nb, -20, 40)
+			nsse := sseAt(xs, ps, w, na, nb)
+			if nsse < sse {
+				a, b, sse = na, nb, nsse
+				lambda = math.Max(lambda/4, 1e-12)
+				improved = true
+				break
+			}
+			lambda *= 10
+		}
+		if !improved {
+			break
+		}
+		if sse <= tol {
+			break
+		}
+	}
+	return startFit{a: a, b: b, sse: sse, iters: iters}
 }
 
 func sseAt(xs, ps, w []float64, a, b float64) float64 {

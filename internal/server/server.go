@@ -799,16 +799,12 @@ func configKey(cfg machine.Config) ConfigSpec {
 	}
 }
 
-// runSimulation is the production simulate seam: generate the kernel's
-// trace at the small scale and run the execution-driven simulator.
+// runSimulation is the production simulate seam: stream the kernel at the
+// small scale through the execution-driven simulator.
 func runSimulation(cfg machine.Config, kernel string) (backend.RunResult, error) {
 	k, err := workloads.ByName(kernel, workloads.ScaleSmall)
 	if err != nil {
 		return backend.RunResult{}, err
 	}
-	tr, err := workloads.GenerateTrace(k, cfg.TotalProcs())
-	if err != nil {
-		return backend.RunResult{}, err
-	}
-	return backend.Simulate(tr, cfg)
+	return experiments.StreamSimulate(k, cfg)
 }

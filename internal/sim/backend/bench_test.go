@@ -116,6 +116,35 @@ func BenchmarkStreamRun(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamRunAll is BenchmarkStreamRun with four systems sharing one
+// generator pass — the validation matrix's shape, where every phase is
+// generated and compiled once for all platforms (integer and float clocks).
+func BenchmarkStreamRunAll(b *testing.B) {
+	w := workloads.NewRadix(1<<14, 64)
+	cfgs := []machine.Config{
+		wsConfig(4, machine.NetBus100),
+		smpConfig(4),
+		csmpConfig(2, 2, machine.NetSwitch155),
+		fractionalConfigs(4)[0],
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		systems := make([]*System, len(cfgs))
+		for j, cfg := range cfgs {
+			var err error
+			if systems[j], err = NewSystem(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := StreamRunAll(systems, 4, func(sink trace.Sink) error {
+			return w.Run(4, sink)
+		}, WithEventHint(w.EventHint(4))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAccessCacheHit(b *testing.B) {
 	sys, err := NewSystem(smpConfig(1))
 	if err != nil {

@@ -11,7 +11,8 @@ import (
 // FuzzRunEquivalence hammers the engine-equivalence contract with randomized
 // balanced-barrier traces: the engine and the unbatched reference executor
 // must produce bit-identical RunResults on every platform kind, on integer
-// and float clocks. The generator parameters — not raw event bytes — are
+// and float clocks, whether each platform runs the materialized trace or
+// all of them share one streamed replay of it (StreamRunAll). The generator parameters — not raw event bytes — are
 // the fuzz input, so every corpus entry is a valid trace and the fuzzer
 // explores the scheduling space (processor counts, phase structure, mix
 // density) rather than the decoder.
@@ -42,7 +43,8 @@ func FuzzRunEquivalence(f *testing.F) {
 		deep := withLevels(cfgs[uint64(seed)%uint64(len(cfgs))], depth)
 		cfgs = append(cfgs, deep)
 		cfgs = append(cfgs, fractionalConfigs(nproc)...)
-		for _, cfg := range cfgs {
+		wants := make([]RunResult, len(cfgs))
+		for i, cfg := range cfgs {
 			sysA, err := NewSystem(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -51,6 +53,7 @@ func FuzzRunEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			wants[i] = want
 			sysB, err := NewSystem(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -66,6 +69,26 @@ func FuzzRunEquivalence(f *testing.F) {
 			if err := sysB.VerifyCoherence(); err != nil {
 				t.Errorf("%s: %v (seed=%d nproc=%d phases=%d events=%d)",
 					cfg.Name, err, seed, nproc, phases, events)
+			}
+		}
+
+		// Every platform again from one shared generator pass: integer and
+		// float clocks run the same compiled phases side by side.
+		systems := make([]*System, len(cfgs))
+		for i, cfg := range cfgs {
+			var err error
+			if systems[i], err = NewSystem(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := StreamRunAll(systems, nproc, replay(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			if !reflect.DeepEqual(got[i], wants[i]) {
+				t.Errorf("%s: StreamRunAll diverged from reference (seed=%d nproc=%d phases=%d events=%d)",
+					cfg.Name, seed, nproc, phases, events)
 			}
 		}
 	})

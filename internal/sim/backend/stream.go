@@ -1,7 +1,9 @@
 package backend
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"memhier/internal/trace"
 )
@@ -43,10 +45,34 @@ func WithEventHint(events int) StreamOption {
 // list, so the steady state allocates nothing per phase: while the engine
 // simulates one phase the generator fills the other, and each buffer's
 // per-processor chunks keep their capacity across phases.
+//
+// StreamRun is StreamRunAll with one system.
 func StreamRun(sys *System, nproc int, generate func(sink trace.Sink) error, opts ...StreamOption) (RunResult, error) {
-	if nproc != sys.Config().TotalProcs() {
-		return RunResult{}, fmt.Errorf("backend: generator has %d processors, %s simulates %d",
-			nproc, sys.Config().Name, sys.Config().TotalProcs())
+	res, err := StreamRunAll([]*System{sys}, nproc, generate, opts...)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return res[0], nil
+}
+
+// StreamRunAll drives every system from one pass of the generator. Each
+// phase is compiled once; the systems' engines run the same read-only ops
+// side by side, and the buffer returns to the free list once all of them
+// have. results[i] is identical to Run of the materialized trace on a
+// fresh copy of systems[i] (see TestStreamRunMatchesRun), so a validation
+// matrix that simulates one kernel on several platforms generates and
+// compiles its trace once and never stores it. At least one system is
+// required, and every system must simulate nproc processors; a malformed
+// stream fails the whole call as it fails StreamRun.
+func StreamRunAll(systems []*System, nproc int, generate func(sink trace.Sink) error, opts ...StreamOption) ([]RunResult, error) {
+	if len(systems) == 0 {
+		return nil, errors.New("backend: no systems to drive")
+	}
+	for _, sys := range systems {
+		if nproc != sys.Config().TotalProcs() {
+			return nil, fmt.Errorf("backend: generator has %d processors, %s simulates %d",
+				nproc, sys.Config().Name, sys.Config().TotalProcs())
+		}
 	}
 	var sc streamConfig
 	for _, o := range opts {
@@ -97,19 +123,39 @@ func StreamRun(sys *System, nproc int, generate func(sink trace.Sink) error, opt
 	// The engine never fails mid-stream, so every handed-over phase is
 	// consumed and returned: the generator can never block on a full
 	// channel or an empty free list.
-	r := newRunner(sys, nproc, 32)
+	runners := make([]phaseRunner, len(systems))
+	for i, sys := range systems {
+		runners[i] = newRunner(sys, nproc, 32)
+	}
 	ops := make([][]trace.Op, nproc)
 	for ph := range out {
 		for i := range ph.chunks {
 			ops[i] = ph.chunks[i].Ops
 		}
-		r.phase(ops)
+		// The systems share nothing but the read-only ops.
+		var wg sync.WaitGroup
+		for _, r := range runners[1:] {
+			wg.Add(1)
+			go func(r phaseRunner) {
+				defer wg.Done()
+				r.phase(ops)
+			}(r)
+		}
+		runners[0].phase(ops)
+		wg.Wait()
 		free <- ph
 	}
 	if err := <-genErr; err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
-	return r.finish(collector.instructions)
+	results := make([]RunResult, len(runners))
+	for i, r := range runners {
+		var err error
+		if results[i], err = r.finish(collector.instructions); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // phaseBuf is one bulk-synchronous phase, compiled per processor; every

@@ -14,7 +14,9 @@ import (
 
 // TestStreamRunMatchesRun: the streaming engine must reproduce the
 // materialized engine's results exactly, for every backend variant, a
-// 3-level hierarchy and a fractional-latency (float clock) platform.
+// 3-level hierarchy and a fractional-latency (float clock) platform — run
+// one system per generator pass, and with every platform of a processor
+// count sharing one pass (StreamRunAll), integer and float clocks mixed.
 func TestStreamRunMatchesRun(t *testing.T) {
 	cfgs := []machine.Config{
 		smpConfig(2),
@@ -22,6 +24,7 @@ func TestStreamRunMatchesRun(t *testing.T) {
 		csmpConfig(2, 2, machine.NetSwitch155),
 		withLevels(csmpConfig(2, 2, machine.NetBus100), 3),
 		fractionalConfigs(2)[0],
+		fractionalConfigs(4)[1],
 	}
 	kernels := []workloads.Workload{
 		workloads.NewFFT(256),
@@ -29,8 +32,9 @@ func TestStreamRunMatchesRun(t *testing.T) {
 		workloads.NewRadix(2000, 16),
 		workloads.NewEdge(24, 24, 2),
 	}
-	for _, cfg := range cfgs {
-		for _, w := range kernels {
+	for _, w := range kernels {
+		mats := make([]RunResult, len(cfgs))
+		for i, cfg := range cfgs {
 			tr, err := workloads.GenerateTrace(w, cfg.TotalProcs())
 			if err != nil {
 				t.Fatal(err)
@@ -39,8 +43,7 @@ func TestStreamRunMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mat, err := Run(tr, matSys)
-			if err != nil {
+			if mats[i], err = Run(tr, matSys); err != nil {
 				t.Fatal(err)
 			}
 			strSys, err := NewSystem(cfg)
@@ -53,10 +56,86 @@ func TestStreamRunMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(mat, str) {
-				t.Errorf("%s/%s: stream diverged from run:\nrun:    %+v\nstream: %+v", cfg.Name, w.Name(), mat, str)
+			if !reflect.DeepEqual(mats[i], str) {
+				t.Errorf("%s/%s: stream diverged from run:\nrun:    %+v\nstream: %+v", cfg.Name, w.Name(), mats[i], str)
 			}
 		}
+		for _, nproc := range []int{2, 4} {
+			var systems []*System
+			var idx []int
+			for i, cfg := range cfgs {
+				if cfg.TotalProcs() != nproc {
+					continue
+				}
+				sys, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				systems = append(systems, sys)
+				idx = append(idx, i)
+			}
+			res, err := StreamRunAll(systems, nproc, func(sink trace.Sink) error {
+				return w.Run(nproc, sink)
+			}, WithEventHint(1<<12))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, i := range idx {
+				if !reflect.DeepEqual(mats[i], res[j]) {
+					t.Errorf("%s/%s: shared stream (%d systems) diverged from run:\nrun:    %+v\nstream: %+v",
+						cfgs[i].Name, w.Name(), len(systems), mats[i], res[j])
+				}
+			}
+		}
+	}
+}
+
+// replay emits a materialized bulk-synchronous trace phase by phase, each
+// processor's whole phase before the next one's, as the kernels' runner
+// does.
+func replay(tr *trace.Trace) func(trace.Sink) error {
+	return func(sink trace.Sink) error {
+		next := make([]int, tr.NumCPU())
+		for {
+			emitted := false
+			for cpu, s := range tr.Streams {
+				for next[cpu] < len(s.Events) {
+					e := s.Events[next[cpu]]
+					next[cpu]++
+					emitted = true
+					sink.Emit(cpu, e)
+					if e.Kind == trace.Barrier {
+						break
+					}
+				}
+			}
+			if !emitted {
+				return nil
+			}
+		}
+	}
+}
+
+// TestStreamRunAllErrors: there must be a system, every system must match
+// the generator's processor count, and a malformed stream fails the whole
+// call.
+func TestStreamRunAllErrors(t *testing.T) {
+	a, _ := NewSystem(smpConfig(2))
+	b, _ := NewSystem(smpConfig(4))
+	if _, err := StreamRunAll([]*System{a, b}, 2, func(trace.Sink) error { return nil }); err == nil {
+		t.Error("processor mismatch in the second system accepted")
+	}
+	a, _ = NewSystem(smpConfig(2))
+	b, _ = NewSystem(wsConfig(2, machine.NetBus100))
+	_, err := StreamRunAll([]*System{a, b}, 2, func(sink trace.Sink) error {
+		sink.Emit(0, trace.Event{Kind: trace.Barrier})
+		return nil
+	})
+	if err == nil {
+		t.Error("unfinished barrier accepted")
+	}
+	if _, err := StreamRunAll(nil, 2, func(trace.Sink) error { return nil }); err == nil {
+		t.Error("no systems accepted")
 	}
 }
 

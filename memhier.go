@@ -183,17 +183,7 @@ func Simulate(tr *Trace, cfg Config) (SimResult, error) { return backend.Simulat
 // StreamSimulate drives the simulator directly from a kernel without
 // materializing the trace (constant memory; paper-scale problems).
 func StreamSimulate(k Kernel, cfg Config) (SimResult, error) {
-	sys, err := backend.NewSystem(cfg)
-	if err != nil {
-		return SimResult{}, err
-	}
-	var opts []backend.StreamOption
-	if h, ok := k.(workloads.EventHinter); ok {
-		opts = append(opts, backend.WithEventHint(h.EventHint(cfg.TotalProcs())))
-	}
-	return backend.StreamRun(sys, cfg.TotalProcs(), func(sink trace.Sink) error {
-		return k.Run(cfg.TotalProcs(), sink)
-	}, opts...)
+	return experiments.StreamSimulate(k, cfg)
 }
 
 // DefaultCatalog returns the 1999-era component prices of the case studies.
