@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"memhier/internal/locality"
 )
@@ -52,20 +53,59 @@ func PaperWorkloadNames() []string {
 	return []string{"FFT", "LU", "Radix", "EDGE", "TPC-C"}
 }
 
+// paperTable is every workload PaperWorkloadByName resolves, built once
+// and keyed by its lower-cased spelling: the Table 2 names plus the TPC-C
+// aliases.
+var paperTable = func() []paperEntry {
+	var out []paperEntry
+	for _, w := range PaperWorkloads() {
+		out = append(out, paperEntry{strings.ToLower(w.Name), w})
+	}
+	tpcc := PaperTPCC()
+	return append(out, paperEntry{"tpcc", tpcc}, paperEntry{"tpc-c", tpcc})
+}()
+
+type paperEntry struct {
+	key string
+	wl  Workload
+}
+
 // PaperWorkloadByName is the one Table 2 workload lookup, shared by the
 // chc subcommands and the chc-serve API: it resolves a Table 2 workload
 // case-insensitively and accepts the kernel-style aliases ("fft", "tpcc",
-// "tpc-c"). The error names the available set.
+// "tpc-c"). The error names the available set. Table 2 entries hold no
+// slices, so the returned value is already the caller's own copy.
 func PaperWorkloadByName(name string) (Workload, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	if key == "tpcc" || key == "tpc-c" {
-		return PaperTPCC(), nil
-	}
-	for _, w := range PaperWorkloads() {
-		if strings.ToLower(w.Name) == key {
-			return w, nil
-		}
+	if i := paperIndex(strings.TrimSpace(name)); i >= 0 {
+		return paperTable[i].wl, nil
 	}
 	return Workload{}, fmt.Errorf("core: unknown paper workload %q (have %s)",
 		name, strings.Join(PaperWorkloadNames(), ", "))
+}
+
+// paperIndex returns the position in paperTable of the entry whose key is
+// strings.ToLower(name), or -1. A short ASCII name is lower-cased in a
+// stack buffer, which allocates nothing; any other name goes through
+// strings.ToLower, whose Unicode mapping can turn a non-ASCII rune into an
+// ASCII letter (U+0130 İ lowers to i).
+func paperIndex(name string) int {
+	var buf [8]byte
+	key, ok := buf[:0], len(name) <= len(buf)
+	for i := 0; ok && i < len(name); i++ {
+		b := name[i]
+		if 'A' <= b && b <= 'Z' {
+			b += 'a' - 'A'
+		}
+		ok = b < utf8.RuneSelf
+		key = append(key, b)
+	}
+	if !ok {
+		key = []byte(strings.ToLower(name))
+	}
+	for i, e := range paperTable {
+		if e.key == string(key) {
+			return i
+		}
+	}
+	return -1
 }

@@ -2,8 +2,8 @@ package cost
 
 // Branch-and-bound budget optimization: OptimizeBudgets answers the eq. 6
 // question for a whole grid of budgets in one pass over a price-sorted
-// enumeration, instead of re-enumerating (and re-evaluating) the space per
-// budget the way BudgetSweep does.
+// enumeration, instead of re-evaluating the space per budget the way
+// BudgetSweep does. Both read the same priced enumeration (priced.go).
 //
 // The search exploits two structural facts, both proven by the repository's
 // property tests (internal/core/property_test.go):
@@ -68,15 +68,6 @@ type SweepStats struct {
 	Pruned int `json:"pruned"`
 }
 
-// pricedConfig is one enumerated configuration with its catalog price and
-// its position in the enumeration (the brute-force tie-break order).
-type pricedConfig struct {
-	cfg   machine.Config
-	cost  float64
-	group int // structure group: same kind/N/procs/net/clock
-	index int // enumeration position
-}
-
 // structureKey identifies a group of configurations that differ only along
 // the monotone capacity axes (per-level cache bytes, memory bytes). The
 // level signature — depth and per-level latencies — is part of the
@@ -126,14 +117,16 @@ func dominatesCapacity(a, b machine.Config) bool {
 	return strict
 }
 
-// enumeratePriced prices every configuration in the space and returns them
-// sorted by ascending cost (ties keep enumeration order, matching the
-// stable brute-force ranking). Configurations the catalog cannot price are
-// dropped, exactly as Optimize skips them. The second result maps each
-// structure group to its capacity-maximal members — the members no other
-// member dominates componentwise in (cache, memory) — whose evaluations
-// lower-bound the whole group.
-func (s Space) enumeratePriced(cat Catalog) ([]pricedConfig, [][]int) {
+// enumeratePriced prices every configuration in the space. The result
+// lists them by ascending cost (ties keep enumeration order, matching the
+// stable brute-force ranking) and records the enumeration order beside
+// it. Configurations the catalog cannot price are dropped, exactly as
+// Optimize skips them. It also maps each structure group to its
+// capacity-maximal members — the members no other member dominates
+// componentwise in (cache, memory) — whose evaluations lower-bound the
+// whole group. Callers reach it through priced, which builds it once per
+// (space, catalog).
+func (s Space) enumeratePriced(cat Catalog) *pricedSpace {
 	var pcs []pricedConfig
 	groups := make(map[structureKey]int)
 	var members [][]int // group → indices into pcs (pre-sort identity)
@@ -174,7 +167,8 @@ func (s Space) enumeratePriced(cat Catalog) ([]pricedConfig, [][]int) {
 		}
 	}
 	// Price-sorted frontier. The sort permutes pcs, so maxima must be
-	// remapped through the permutation.
+	// remapped through the permutation; the inverse permutation is the
+	// enumeration order.
 	perm := make([]int, len(pcs))
 	for i := range perm {
 		perm[i] = i
@@ -191,7 +185,7 @@ func (s Space) enumeratePriced(cat Catalog) ([]pricedConfig, [][]int) {
 			maxima[g][k] = where[oldIdx]
 		}
 	}
-	return sorted, maxima
+	return &pricedSpace{byCost: sorted, maxima: maxima, byEnum: where}
 }
 
 // OptimizeBudgets solves eq. 6 for every budget in one pass: budgets are
@@ -205,7 +199,8 @@ func OptimizeBudgets(budgets []float64, wl core.Workload, cat Catalog, space Spa
 	if len(budgets) == 0 {
 		return nil, SweepStats{}, fmt.Errorf("cost: empty budget list")
 	}
-	pcs, maxima := space.enumeratePriced(cat)
+	ps := priced(space, cat)
+	pcs, maxima := ps.byCost, ps.maxima
 	stats := SweepStats{Configs: len(pcs)}
 
 	type evalOutcome struct {
@@ -295,7 +290,9 @@ func OptimizeBudgets(budgets []float64, wl core.Workload, cat Catalog, space Spa
 			}
 		}
 		if haveBest {
-			out = append(out, BudgetPoint{Budget: b, Best: best, Candidates: i})
+			pt := BudgetPoint{Budget: b, Best: best, Candidates: i}
+			pt.Best.Config = ownConfig(best.Config)
+			out = append(out, pt)
 		}
 	}
 	if len(out) == 0 {

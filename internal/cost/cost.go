@@ -271,17 +271,18 @@ func Optimize(budget float64, wl core.Workload, cat Catalog, space Space, opts c
 	if budget <= 0 {
 		return Scored{}, nil, fmt.Errorf("cost: budget must be positive, got %v", budget)
 	}
+	ps := priced(space, cat)
 	var feasible []Scored
-	for _, cfg := range space.Enumerate() {
-		price, err := cat.ClusterCost(cfg)
-		if err != nil || price > budget {
+	for _, k := range ps.byEnum {
+		pc := &ps.byCost[k]
+		if pc.cost > budget {
 			continue
 		}
-		res, err := core.Evaluate(cfg, wl, opts)
+		res, err := core.Evaluate(pc.cfg, wl, opts)
 		if err != nil {
 			continue
 		}
-		feasible = append(feasible, Scored{Config: cfg, Cost: price,
+		feasible = append(feasible, Scored{Config: ownConfig(pc.cfg), Cost: pc.cost,
 			EInstr: res.EInstr, Seconds: res.Seconds})
 	}
 	if len(feasible) == 0 {

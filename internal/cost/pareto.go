@@ -12,17 +12,15 @@ import (
 // ascending cost (hence descending E(Instr)) and is what a buyer actually
 // chooses from — the cost/performance frontier behind the paper's eq. 6.
 func ParetoFront(wl core.Workload, cat Catalog, space Space, opts core.Options) ([]Scored, error) {
+	ps := priced(space, cat)
 	var all []Scored
-	for _, cfg := range space.Enumerate() {
-		price, err := cat.ClusterCost(cfg)
+	for _, k := range ps.byEnum {
+		pc := &ps.byCost[k]
+		res, err := core.Evaluate(pc.cfg, wl, opts)
 		if err != nil {
 			continue
 		}
-		res, err := core.Evaluate(cfg, wl, opts)
-		if err != nil {
-			continue
-		}
-		all = append(all, Scored{Config: cfg, Cost: price, EInstr: res.EInstr, Seconds: res.Seconds})
+		all = append(all, Scored{Config: ownConfig(pc.cfg), Cost: pc.cost, EInstr: res.EInstr, Seconds: res.Seconds})
 	}
 	if len(all) == 0 {
 		return nil, ErrNoFeasible

@@ -108,9 +108,7 @@ func (c *resultCache) shard(key string) *cacheShard {
 func (c *resultCache) do(ctx context.Context, key string, compute func() (entry, error)) (entry, outcome, error) {
 	sh := c.shard(key)
 	sh.mu.Lock()
-	if el, ok := sh.items[key]; ok {
-		sh.order.MoveToFront(el)
-		ent := el.Value.(*cacheItem).ent
+	if ent, ok := sh.hitLocked(key); ok {
 		sh.mu.Unlock()
 		return ent, outcomeHit, nil
 	}
@@ -137,6 +135,32 @@ func (c *resultCache) do(ctx context.Context, key string, compute func() (entry,
 	sh.mu.Unlock()
 	close(f.done)
 	return f.ent, outcomeMiss, f.err
+}
+
+// get returns the cached entry for key, if any, without joining or
+// starting a flight: the probe that lets a hit skip the cache protocol's
+// goroutine.
+//
+//chc:hotpath
+func (c *resultCache) get(key string) (entry, bool) {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	ent, ok := sh.hitLocked(key)
+	sh.mu.Unlock()
+	return ent, ok
+}
+
+// hitLocked returns the cached entry for key and marks it most recently
+// used. The caller holds sh.mu.
+//
+//chc:hotpath
+func (sh *cacheShard) hitLocked(key string) (entry, bool) {
+	el, ok := sh.items[key]
+	if !ok {
+		return entry{}, false
+	}
+	sh.order.MoveToFront(el)
+	return el.Value.(*cacheItem).ent, true
 }
 
 // insertLocked adds the entry, evicting from the LRU tail past capacity.

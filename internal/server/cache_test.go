@@ -53,6 +53,32 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheGetProbes: get answers hits, refreshes their LRU position and
+// never opens a flight on a miss.
+func TestCacheGetProbes(t *testing.T) {
+	c := newResultCache(2, 1) // one shard, capacity 2
+	ctx := context.Background()
+	if _, hit := c.get("k0"); hit {
+		t.Fatal("get hit an empty cache")
+	}
+	if n := len(c.shards[0].flights); n != 0 {
+		t.Fatalf("a missed get left %d flights open", n)
+	}
+	c.do(ctx, "k0", ok("v0"))
+	c.do(ctx, "k1", ok("v1"))
+	if ent, hit := c.get("k0"); !hit || string(ent.body) != "v0" {
+		t.Fatalf("get(k0) = %q, %v", ent.body, hit)
+	}
+	// The get made k0 the most recent, so k2 evicts k1.
+	c.do(ctx, "k2", ok("v2"))
+	if _, hit := c.get("k1"); hit {
+		t.Error("k1 survived; get did not refresh k0's LRU position")
+	}
+	if _, hit := c.get("k0"); !hit {
+		t.Error("k0 evicted although a get had just used it")
+	}
+}
+
 func TestCacheErrorsNotCached(t *testing.T) {
 	c := newResultCache(8, 1)
 	ctx := context.Background()

@@ -216,6 +216,49 @@ func TestForwardedDrainingRejected(t *testing.T) {
 	}
 }
 
+// TestServeCachedHitIsSynchronous: a hit is answered from the probe,
+// before any deadline race — even a request whose deadline has already
+// passed gets the cached bytes — and it never runs the computation. A
+// forwarded request to a draining node is still refused first.
+func TestServeCachedHitIsSynchronous(t *testing.T) {
+	fwd := &stubForwarder{
+		self:  "owner",
+		place: func(string) ([]string, bool) { return nil, true },
+	}
+	s := New(Config{Forwarder: fwd})
+	defer s.Close()
+	s.cache.do(context.Background(), "k", ok("cached"))
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	compute := func() (entry, error) {
+		t.Error("a cache hit ran the computation")
+		return entry{}, errors.New("unreachable")
+	}
+	for i := 0; i < 50; i++ {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+		s.serveCached(expired, rec, req, "predict", "k", compute)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" || rec.Body.String() != "cached" {
+			t.Fatalf("hit %d: status %d, X-Cache %q, body %q", i, rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+		}
+		if rec.Header().Get(ClusterNodeHeader) != "owner" || rec.Header().Get(ClusterViaHeader) != "" {
+			t.Fatalf("hit %d: cluster headers %v", i, rec.Header())
+		}
+	}
+	if got := s.metrics.CacheHits.Value(); got != 50 {
+		t.Errorf("cache hits counted %d, want 50", got)
+	}
+
+	s.BeginDrain()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	req.Header.Set(ForwardedHeader, "origin-node")
+	s.serveCached(context.Background(), rec, req, "predict", "k", compute)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Errorf("forwarded hit on a draining node: status %d, want 429", rec.Code)
+	}
+}
+
 // TestMetricsClusterSection: cluster counters and the forwarder's view
 // appear in the snapshot only in cluster mode.
 func TestMetricsClusterSection(t *testing.T) {

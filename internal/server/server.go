@@ -372,14 +372,15 @@ func (s *Server) post(w http.ResponseWriter, r *http.Request, timeout time.Durat
 }
 
 // serveCached runs the cache+singleflight protocol around compute and
-// writes the resulting bytes, tagging the response with X-Cache. The
-// route's deadline is enforced here even against a stalled computation:
-// the cache protocol runs in its own goroutine and the handler answers
-// 503 at the deadline, while a leader keeps computing in the background so
-// the finished result is cached for future callers (waiters already
-// abandon on ctx inside cache.do). Compute-site fault injection wraps the
-// computation, so injected failures share the single-flight path real
-// failures take.
+// writes the resulting bytes, tagging the response with X-Cache. A cache
+// hit is answered synchronously: one probe, then the write. A miss or a
+// single-flight wait runs the protocol in its own goroutine, so the
+// route's deadline is enforced even against a stalled computation: the
+// handler answers 503 at the deadline, while a leader keeps computing in
+// the background so the finished result is cached for future callers
+// (waiters already abandon on ctx inside cache.do). Compute-site fault
+// injection wraps the computation, so injected failures share the
+// single-flight path real failures take.
 //
 // In cluster mode the single-flight leader additionally consults the
 // ring (cluster.go): a miss on a peer-owned key forwards to the owner
@@ -389,23 +390,32 @@ func (s *Server) post(w http.ResponseWriter, r *http.Request, timeout time.Durat
 //
 //chc:hotpath
 func (s *Server) serveCached(ctx context.Context, w http.ResponseWriter, r *http.Request, endpoint, key string, compute func() (entry, error)) {
-	var note forwardNote
-	run := s.wrapCompute(endpoint, compute)
+	forwarded := false
 	if s.forwarder != nil {
 		w.Header().Set(ClusterNodeHeader, s.forwarder.Self())
-		if r.Header.Get(ForwardedHeader) != "" {
-			// A forwarded request always computes here — one hop maximum,
-			// so disagreeing ring views cannot loop a request — and a
-			// draining node refuses it outright: the deliberate draining
-			// answer tells the forwarder to fall back to local compute
-			// instead of waiting out a dying peer.
-			if s.draining.Load() {
-				s.fail(w, http.StatusTooManyRequests, ErrShuttingDown)
-				return
-			}
-		} else {
-			run = s.forwardableCompute(ctx, endpoint, key, w.Header().Get(requestIDHeader), run, &note)
+		// A forwarded request always computes here — one hop maximum,
+		// so disagreeing ring views cannot loop a request — and a
+		// draining node refuses it outright: the deliberate draining
+		// answer tells the forwarder to fall back to local compute
+		// instead of waiting out a dying peer.
+		forwarded = r.Header.Get(ForwardedHeader) != ""
+		if forwarded && s.draining.Load() {
+			s.fail(w, http.StatusTooManyRequests, ErrShuttingDown)
+			return
 		}
+	}
+	if ent, ok := s.cache.get(key); ok {
+		s.metrics.CacheHits.Add(1)
+		w.Header().Set("X-Cache", "hit")
+		writeEntry(w, ent)
+		return
+	}
+	// A miss: the entry may still land before cache.do looks again, so
+	// outcomeHit remains possible below.
+	var note forwardNote
+	run := s.wrapCompute(endpoint, compute)
+	if s.forwarder != nil && !forwarded {
+		run = s.forwardableCompute(ctx, endpoint, key, w.Header().Get(requestIDHeader), run, &note)
 	}
 	type cacheAnswer struct {
 		ent entry
@@ -456,9 +466,16 @@ func (s *Server) serveCached(ctx context.Context, w http.ResponseWriter, r *http
 		s.fail(w, http.StatusInternalServerError, ans.err)
 		return
 	}
+	writeEntry(w, ans.ent)
+}
+
+// writeEntry writes a cached or computed entry as the response.
+//
+//chc:hotpath
+func writeEntry(w http.ResponseWriter, ent entry) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(ans.ent.status)
-	w.Write(ans.ent.body)
+	w.WriteHeader(ent.status)
+	w.Write(ent.body)
 }
 
 // wrapCompute guards a computation with panic recovery and compute-site

@@ -15,11 +15,15 @@ type streamConfig struct {
 	eventHint int
 }
 
-// WithEventHint passes the generator's approximate total event count (see
-// workloads.EventHinter) so the phase buffers can be pre-sized: the
-// collector seeds each per-processor chunk near its steady-state capacity
-// instead of discovering it through append-doubling, which is where almost
-// all of a streamed run's allocations otherwise come from.
+// WithEventHint passes the generator's approximate total event count, over
+// all processors, so the phase buffers can be pre-sized: each
+// per-processor chunk starts at events/(2·nproc) ops, clamped to
+// [1024, 131072] — a processor's share of a nominal two-phase run — instead
+// of discovering its capacity through append-doubling, which is where
+// almost all of a streamed run's allocations otherwise come from. A run
+// with many phases therefore starts its chunks above its largest phase.
+// workloads.EventHinter reports a per-processor count: multiply it by
+// nproc to get this option's total.
 func WithEventHint(events int) StreamOption {
 	return func(c *streamConfig) { c.eventHint = events }
 }
@@ -42,9 +46,12 @@ func WithEventHint(events int) StreamOption {
 // behind.
 //
 // The consumer and generator exchange two phase buffers through a free
-// list, so the steady state allocates nothing per phase: while the engine
-// simulates one phase the generator fills the other, and each buffer's
-// per-processor chunks keep their capacity across phases.
+// list, so the steady state allocates nothing per phase: each buffer's
+// per-processor chunks keep their capacity across phases. The exchange
+// lets the generator run at most one phase ahead of the engine, but the
+// two barely overlap in practice: a streamed run uses about one CPU and
+// takes longer than Run on the materialized trace. Streaming buys memory,
+// not speed.
 //
 // StreamRun is StreamRunAll with one system.
 func StreamRun(sys *System, nproc int, generate func(sink trace.Sink) error, opts ...StreamOption) (RunResult, error) {

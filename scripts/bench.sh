@@ -4,7 +4,8 @@
 # Usage: scripts/bench.sh [-short] [output.json]
 #
 # Runs the simulator-engine, stack-distance, prediction-service,
-# resilient-client, cluster-serving, sweep/budget-optimization and
+# resilient-client, cluster-serving, sweep/budget-optimization,
+# request-path constant (catalog lookup, priced design space) and
 # reproduction measurement-layer (characterization, per-CPU stack
 # distances, sharing) benchmark families with
 # -benchtime=1x -count=3 (best-of-3 per benchmark; the families that need
@@ -41,6 +42,14 @@ done
 for pkg in ./internal/client ./internal/cluster; do
   go test "$pkg" -run '^$' -bench "$pattern" -benchtime=50x -count="$count" -benchmem | tee -a "$raw"
 done
+
+# Work every request used to redo: the catalog lookup and the budget
+# search's priced design space (its one-off build and the memo probe each
+# later search pays). A single iteration of the lookup or the probe is
+# tens to hundreds of nanoseconds, below the timer's resolution, so run
+# enough of them for a steady-state mean.
+go test ./internal/machine -run '^$' -bench '^BenchmarkByName$' -benchtime=100000x -count="$count" -benchmem | tee -a "$raw"
+go test ./internal/cost -run '^$' -bench '^BenchmarkPricedSpace$' -benchtime=500x -count="$count" -benchmem | tee -a "$raw"
 
 # The reproduction's measurement layers: one iteration is a cold call
 # whose chunk buffers, hash tables and trees are all first-touch
