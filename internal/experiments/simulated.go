@@ -162,7 +162,7 @@ func StreamSimulate(w workloads.Workload, cfg machine.Config) (backend.RunResult
 	}, hintOpts(w, nproc)...)
 }
 
-// hintOpts pre-sizes a streamed run's phase buffers from the workload's
+// hintOpts pre-sizes a streamed run's phase buffer from the workload's
 // event hint, when it has one. It passes the per-processor hint where
 // backend.WithEventHint expects a total, so each chunk starts nproc times
 // smaller than that option intends (LU on 8 processors: 11,520 ops against

@@ -31,6 +31,16 @@ type poolJob struct {
 	ctx  context.Context
 	fn   func()
 	done chan struct{}
+	// panicked is what fn panicked with, set before done closes; do
+	// re-raises it on the submitting goroutine.
+	panicked any
+}
+
+// run calls fn, recovering a panic into panicked so it neither kills the
+// worker (and with it the process) nor escapes the submitter's recover.
+func (j *poolJob) run() {
+	defer func() { j.panicked = recover() }()
+	j.fn()
 }
 
 // newWorkerPool starts workers goroutines behind a queue of queueDepth
@@ -62,7 +72,7 @@ func (p *workerPool) run() {
 	defer p.wg.Done()
 	for j := range p.jobs {
 		if j.ctx.Err() == nil { // skip work whose requester already left
-			j.fn()
+			j.run()
 		}
 		p.queued.Add(-1)
 		close(j.done)
@@ -72,7 +82,10 @@ func (p *workerPool) run() {
 // do runs fn on a pool worker. It fails fast with ErrOverloaded when the
 // queue is full and returns ctx.Err() if the context expires while the job
 // is queued or running (an accepted job still runs to completion so its
-// result can be cached; fn must tolerate an absent requester).
+// result can be cached; fn must tolerate an absent requester). A panic in
+// fn is re-raised here, on the caller's goroutine, where the caller's
+// recover (Server.wrapCompute) turns it into an error; the worker keeps
+// serving. If the requester has already left, the panic is dropped.
 func (p *workerPool) do(ctx context.Context, fn func()) error {
 	j := &poolJob{ctx: ctx, fn: fn, done: make(chan struct{})}
 	p.mu.RLock()
@@ -89,6 +102,9 @@ func (p *workerPool) do(ctx context.Context, fn func()) error {
 	p.mu.RUnlock()
 	select {
 	case <-j.done:
+		if j.panicked != nil {
+			panic(j.panicked)
+		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

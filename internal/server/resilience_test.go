@@ -14,6 +14,7 @@ import (
 	"memhier/internal/faults"
 	"memhier/internal/machine"
 	"memhier/internal/queueing"
+	"memhier/internal/sim/backend"
 )
 
 // hookFunc adapts a function to faults.Hook for targeted injection.
@@ -70,6 +71,39 @@ func TestPanicRecovery(t *testing.T) {
 		Config: ConfigSpec{Name: "C4"}, Workload: WorkloadSpec{Name: "fft"},
 	}); rec.Code != http.StatusOK {
 		t.Fatalf("post-panic request: status = %d, body %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestValidatePanicRecovery: a simulation panics on a pool worker, not on
+// the goroutine whose recover guards the computation; it must still come
+// back as a 500 with code panic, and the pool's one worker must survive to
+// serve the next request.
+func TestValidatePanicRecovery(t *testing.T) {
+	s := New(Config{SimWorkers: 1})
+	defer s.Close()
+	s.simulate = func(machine.Config, string) (backend.RunResult, error) {
+		panic("synthetic simulation crash")
+	}
+
+	rec := post(t, s, "/v1/validate", ValidateRequest{Config: ConfigSpec{Name: "C4"}, Workload: "fft"})
+	resp := checkErrorContract(t, rec, http.StatusInternalServerError, CodePanic)
+	if !strings.Contains(resp.Error, "panicked") {
+		t.Errorf("error message %q does not mention the panic", resp.Error)
+	}
+	if got := s.metrics.Panics.Value(); got != 1 {
+		t.Errorf("panics metric = %d, want 1", got)
+	}
+
+	s.simulate = func(machine.Config, string) (backend.RunResult, error) {
+		return fakeRunResult(), nil
+	}
+	if rec := post(t, s, "/v1/validate", ValidateRequest{
+		Config: ConfigSpec{Name: "C4"}, Workload: "fft",
+	}); rec.Code != http.StatusOK {
+		t.Fatalf("post-panic request: status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	if d := s.pool.depth(); d != 0 {
+		t.Errorf("pool depth = %d after both jobs finished, want 0", d)
 	}
 }
 

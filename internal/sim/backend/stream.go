@@ -16,42 +16,37 @@ type streamConfig struct {
 }
 
 // WithEventHint passes the generator's approximate total event count, over
-// all processors, so the phase buffers can be pre-sized: each
-// per-processor chunk starts at events/(2·nproc) ops, clamped to
-// [1024, 131072] — a processor's share of a nominal two-phase run — instead
-// of discovering its capacity through append-doubling, which is where
-// almost all of a streamed run's allocations otherwise come from. A run
-// with many phases therefore starts its chunks above its largest phase.
-// workloads.EventHinter reports a per-processor count: multiply it by
-// nproc to get this option's total.
+// all processors, so the phase buffer can be pre-sized: each per-processor
+// chunk starts at events/(2·nproc) ops, clamped to [1024, 131072] — a
+// processor's share of a nominal two-phase run — instead of discovering its
+// capacity through append-doubling, which is where almost all of a streamed
+// run's allocations otherwise come from. A run with many phases therefore
+// starts its chunks above its largest phase. workloads.EventHinter reports
+// a per-processor count: multiply it by nproc to get this option's total.
 func WithEventHint(events int) StreamOption {
 	return func(c *streamConfig) { c.eventHint = events }
 }
 
 // StreamRun drives the system directly from a workload generator without
-// materializing the whole trace: the generator runs concurrently and its
-// events are consumed phase by phase (barrier to barrier), so peak memory
-// is one bulk-synchronous phase instead of the full execution. Paper-scale
-// problems (hundreds of millions of references) become simulable.
+// materializing the whole trace: generate runs on the caller's goroutine,
+// and each bulk-synchronous phase (barrier to barrier) is simulated as soon
+// as its last processor arrives at the barrier, before the next event is
+// accepted. Peak memory is one phase instead of the full execution, so
+// paper-scale problems (hundreds of millions of references) become
+// simulable. Streaming buys memory, not speed: the generator waits while
+// the engine simulates.
 //
 // generate must emit the same bulk-synchronous stream a materialized run
 // would (workloads.Workload.Run does); results are identical to Run on the
 // materialized trace (see TestStreamRunMatchesRun). Each phase is compiled
-// per processor with the trace package's op compiler and executed by the
+// per processor with the trace package's op compiler into one phase buffer
+// whose chunks keep their capacity from phase to phase, and executed by the
 // same engine Run uses. A malformed stream — an event for a processor that
 // does not exist, an unknown event kind, an address beyond trace.MaxAddr,
 // or work emitted after the processor's own barrier arrival and before the
 // rendezvous — fails the run with an error; the collector then drops every
-// later event, so generate runs to completion and no goroutine is left
-// behind.
-//
-// The consumer and generator exchange two phase buffers through a free
-// list, so the steady state allocates nothing per phase: each buffer's
-// per-processor chunks keep their capacity across phases. The exchange
-// lets the generator run at most one phase ahead of the engine, but the
-// two barely overlap in practice: a streamed run uses about one CPU and
-// takes longer than Run on the materialized trace. Streaming buys memory,
-// not speed.
+// later event, and the error is returned once generate does. A panic in
+// generate reaches the caller.
 //
 // StreamRun is StreamRunAll with one system.
 func StreamRun(sys *System, nproc int, generate func(sink trace.Sink) error, opts ...StreamOption) (RunResult, error) {
@@ -64,13 +59,13 @@ func StreamRun(sys *System, nproc int, generate func(sink trace.Sink) error, opt
 
 // StreamRunAll drives every system from one pass of the generator. Each
 // phase is compiled once; the systems' engines run the same read-only ops
-// side by side, and the buffer returns to the free list once all of them
-// have. results[i] is identical to Run of the materialized trace on a
-// fresh copy of systems[i] (see TestStreamRunMatchesRun), so a validation
-// matrix that simulates one kernel on several platforms generates and
-// compiles its trace once and never stores it. At least one system is
-// required, and every system must simulate nproc processors; a malformed
-// stream fails the whole call as it fails StreamRun.
+// side by side, and the next event is accepted once all of them have.
+// results[i] is identical to Run of the materialized trace on a fresh copy
+// of systems[i] (see TestStreamRunMatchesRun), so a validation matrix that
+// simulates one kernel on several platforms generates and compiles its
+// trace once and never stores it. At least one system is required, and
+// every system must simulate nproc processors; a malformed stream fails the
+// whole call as it fails StreamRun.
 func StreamRunAll(systems []*System, nproc int, generate func(sink trace.Sink) error, opts ...StreamOption) ([]RunResult, error) {
 	if len(systems) == 0 {
 		return nil, errors.New("backend: no systems to drive")
@@ -98,90 +93,49 @@ func StreamRunAll(systems []*System, nproc int, generate func(sink trace.Sink) e
 			chunkCap = max
 		}
 	}
-	newBuf := func() *phaseBuf {
-		// One backing array per buffer: a chunk that outgrows its slice
-		// migrates out via append's reallocation, which the pre-size makes
-		// rare.
-		b := &phaseBuf{chunks: make([]trace.OpCompiler, nproc)}
-		backing := make([]trace.Op, nproc*chunkCap)
-		for i := range b.chunks {
-			b.chunks[i].Ops = backing[i*chunkCap : i*chunkCap : (i+1)*chunkCap]
-		}
-		return b
+	p := &phaseCollector{
+		nproc:   nproc,
+		chunks:  make([]trace.OpCompiler, nproc),
+		ops:     make([][]trace.Op, nproc),
+		arrived: make([]bool, nproc),
+		runners: make([]phaseRunner, len(systems)),
 	}
-	out := make(chan *phaseBuf, 1)
-	free := make(chan *phaseBuf, 2)
-	free <- newBuf()
-	free <- newBuf()
-	collector := &phaseCollector{nproc: nproc, out: out, free: free, arrived: make([]bool, nproc)}
-	genErr := make(chan error, 1)
-
-	go func() {
-		defer close(out)
-		err := generate(collector)
-		if collector.err != nil {
-			err = collector.err
-		} else if err == nil {
-			collector.flushTail()
-		}
-		genErr <- err
-	}()
-
-	// The engine never fails mid-stream, so every handed-over phase is
-	// consumed and returned: the generator can never block on a full
-	// channel or an empty free list.
-	runners := make([]phaseRunner, len(systems))
+	// One backing array: a chunk that outgrows its slice migrates out via
+	// append's reallocation, which the pre-size makes rare.
+	backing := make([]trace.Op, nproc*chunkCap)
+	for i := range p.chunks {
+		p.chunks[i].Ops = backing[i*chunkCap : i*chunkCap : (i+1)*chunkCap]
+	}
 	for i, sys := range systems {
-		runners[i] = newRunner(sys, nproc, 32)
+		p.runners[i] = newRunner(sys, nproc, 32)
 	}
-	ops := make([][]trace.Op, nproc)
-	for ph := range out {
-		for i := range ph.chunks {
-			ops[i] = ph.chunks[i].Ops
-		}
-		// The systems share nothing but the read-only ops.
-		var wg sync.WaitGroup
-		for _, r := range runners[1:] {
-			wg.Add(1)
-			go func(r phaseRunner) {
-				defer wg.Done()
-				r.phase(ops)
-			}(r)
-		}
-		runners[0].phase(ops)
-		wg.Wait()
-		free <- ph
+
+	err := generate(p)
+	if p.err != nil {
+		err = p.err
 	}
-	if err := <-genErr; err != nil {
+	if err != nil {
 		return nil, err
 	}
-	results := make([]RunResult, len(runners))
-	for i, r := range runners {
-		var err error
-		if results[i], err = r.finish(collector.instructions); err != nil {
+	p.flushTail()
+	results := make([]RunResult, len(p.runners))
+	for i, r := range p.runners {
+		if results[i], err = r.finish(p.instructions); err != nil {
 			return nil, err
 		}
 	}
 	return results, nil
 }
 
-// phaseBuf is one bulk-synchronous phase, compiled per processor; every
-// chunk of a phase that closed at a barrier ends in OpBarrier. Buffers
-// cycle between the generator and the engine through the free list; chunks
-// keep their capacity across phases.
-type phaseBuf struct {
-	chunks []trace.OpCompiler
-}
-
-// phaseCollector compiles one bulk-synchronous phase and hands it over when
-// every processor has arrived at the barrier. It runs on the generator's
-// goroutine; StreamRun reads instructions and err only after generate has
-// returned.
+// phaseCollector compiles one bulk-synchronous phase per processor into
+// the run's phase buffer (chunks) and, when every processor has arrived at
+// the barrier, runs it on every engine and empties the chunks for the next
+// phase. Every chunk of a phase that closed at a barrier ends in OpBarrier.
 type phaseCollector struct {
 	nproc        int
-	out          chan<- *phaseBuf
-	free         <-chan *phaseBuf
-	cur          *phaseBuf
+	chunks       []trace.OpCompiler
+	ops          [][]trace.Op // the chunks' ops, as the engines take them
+	runners      []phaseRunner
 	arrived      []bool
 	nwait        int
 	instructions uint64 // m + M over every accepted event
@@ -204,15 +158,7 @@ func (p *phaseCollector) Emit(cpu int, e trace.Event) {
 		p.err = fmt.Errorf("backend: processor %d emitted %v after its barrier arrival; the stream is not bulk-synchronous", cpu, e.Kind)
 		return
 	}
-	if p.cur == nil {
-		// Every chunk of a handed-over phase ended at its barrier, which
-		// consumed the pending compute; emptying Ops resets the compiler.
-		p.cur = <-p.free
-		for i := range p.cur.chunks {
-			p.cur.chunks[i].Ops = p.cur.chunks[i].Ops[:0]
-		}
-	}
-	if err := p.cur.chunks[cpu].Add(e); err != nil {
+	if err := p.chunks[cpu].Add(e); err != nil {
 		p.err = fmt.Errorf("backend: processor %d: %w", cpu, err)
 		return
 	}
@@ -225,24 +171,46 @@ func (p *phaseCollector) Emit(cpu int, e trace.Event) {
 		p.arrived[cpu] = true
 		p.nwait++
 		if p.nwait == p.nproc {
-			p.out <- p.cur
-			p.cur = nil
+			p.runPhase()
 			clear(p.arrived)
 			p.nwait = 0
 		}
 	}
 }
 
-// flushTail hands over work emitted after the last barrier: trailing
-// compute gaps become OpNone ops, and an arrival at a barrier that never
-// completed stays in its chunk, where the engine reports it as stuck.
+// runPhase runs the buffered phase on every engine, then empties the
+// chunks. Every chunk ended at its barrier or was flushed, so no compute
+// is pending and emptying Ops resets the compiler.
+func (p *phaseCollector) runPhase() {
+	for i := range p.chunks {
+		p.ops[i] = p.chunks[i].Ops
+	}
+	// The systems share nothing but the read-only ops.
+	var wg sync.WaitGroup
+	for _, r := range p.runners[1:] {
+		wg.Add(1)
+		go func(r phaseRunner) {
+			defer wg.Done()
+			r.phase(p.ops)
+		}(r)
+	}
+	p.runners[0].phase(p.ops)
+	wg.Wait()
+	for i := range p.chunks {
+		p.chunks[i].Ops = p.chunks[i].Ops[:0]
+	}
+}
+
+// flushTail runs work emitted after the last barrier: trailing compute
+// gaps become OpNone ops, and an arrival at a barrier that never completed
+// stays in its chunk, where the engine reports it as stuck.
 func (p *phaseCollector) flushTail() {
-	if p.cur == nil {
-		return
+	tail := false
+	for i := range p.chunks {
+		p.chunks[i].Flush()
+		tail = tail || len(p.chunks[i].Ops) > 0
 	}
-	for i := range p.cur.chunks {
-		p.cur.chunks[i].Flush()
+	if tail {
+		p.runPhase()
 	}
-	p.out <- p.cur
-	p.cur = nil
 }

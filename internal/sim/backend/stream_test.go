@@ -5,7 +5,6 @@ import (
 	"os"
 	"reflect"
 	"testing"
-	"time"
 
 	"memhier/internal/machine"
 	"memhier/internal/trace"
@@ -155,9 +154,9 @@ func TestStreamRunErrors(t *testing.T) {
 		t.Errorf("generator error lost: %v", err)
 	}
 
-	// Malformed streams fail the run instead of crashing or stranding the
-	// generator: each bad event is followed by enough well-formed phases to
-	// fill both phase buffers, and generate must still run to completion.
+	// Malformed streams fail the run instead of crashing: each bad event is
+	// followed by well-formed phases, which the collector drops, and
+	// generate must still run to completion before StreamRun returns.
 	barrier := trace.Event{Kind: trace.Barrier}
 	read := trace.Event{Kind: trace.Read, Addr: 64}
 	for _, tc := range []struct {
@@ -183,9 +182,9 @@ func TestStreamRunErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := make(chan struct{})
+		returned := false
 		_, err = StreamRun(sys, 2, func(sink trace.Sink) error {
-			defer close(done)
+			defer func() { returned = true }()
 			tc.bad(sink)
 			for i := 0; i < 8; i++ {
 				for cpu := 0; cpu < 2; cpu++ {
@@ -198,12 +197,34 @@ func TestStreamRunErrors(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: generate still blocked after StreamRun returned", tc.name)
+		if !returned {
+			t.Errorf("%s: StreamRun returned before generate did", tc.name)
 		}
 	}
+}
+
+// TestStreamRunGeneratorPanic: generate runs on the caller's goroutine, so
+// a panic after a complete phase reaches StreamRun's caller, where a
+// deferred recover sees it, instead of killing the process.
+func TestStreamRunGeneratorPanic(t *testing.T) {
+	sys, err := NewSystem(smpConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const boom = "generator crash"
+	defer func() {
+		if rec := recover(); rec != boom {
+			t.Errorf("recovered %v, want %q", rec, boom)
+		}
+	}()
+	StreamRun(sys, 2, func(sink trace.Sink) error {
+		for cpu := 0; cpu < 2; cpu++ {
+			sink.Emit(cpu, trace.Event{Kind: trace.Read, Addr: 64})
+			sink.Emit(cpu, trace.Event{Kind: trace.Barrier})
+		}
+		panic(boom)
+	})
+	t.Error("StreamRun returned after its generator panicked")
 }
 
 // TestStreamRunUnfinishedBarrier: a barrier some processors never reach is

@@ -7,7 +7,7 @@
 # resilient-client, cluster-serving, sweep/budget-optimization,
 # request-path constant (catalog lookup, priced design space) and
 # reproduction measurement-layer (characterization, per-CPU stack
-# distances, sharing) benchmark families with
+# distances, sharing and its streamed accumulator) benchmark families with
 # -benchtime=1x -count=3 (best-of-3 per benchmark; the families that need
 # more iterations say so below) and writes a JSON array
 # of {name, ns_op, allocs_op}. The output path comes from the argument,
@@ -55,7 +55,9 @@ go test ./internal/cost -run '^$' -bench '^BenchmarkPricedSpace$' -benchtime=500
 # whose chunk buffers, hash tables and trees are all first-touch
 # allocations, so run a few and report the mean.
 go test ./internal/workloads -run '^$' -bench '^(BenchmarkCharacterizeLines|BenchmarkCharacterizeRadix|BenchmarkAnalyzeStreams)$' -benchtime=3x -count="$count" -benchmem | tee -a "$raw"
-go test ./internal/experiments -run '^$' -bench '^BenchmarkMeasureSharing$' -benchtime=3x -count="$count" -benchmem | tee -a "$raw"
+# BenchmarkSharingAccumulator is BenchmarkMeasureSharing's streamed
+# counterpart; the pair measures what the order buffer costs.
+go test ./internal/experiments -run '^$' -bench '^(BenchmarkMeasureSharing|BenchmarkSharingAccumulator)$' -benchtime=3x -count="$count" -benchmem | tee -a "$raw"
 
 # Parallel benchmarks additionally run at fixed -cpu points so per-core
 # scaling is comparable across BENCH_*.json snapshots from different
