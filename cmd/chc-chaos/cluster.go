@@ -25,6 +25,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,6 +119,61 @@ func runCluster(n int, seed int64, requests, concurrency int) *report {
 	return r
 }
 
+// placement is what one response says about how it was answered: its
+// X-Cache verdict and, on computed answers, the path the computation took.
+type placement struct {
+	key     string // the request's name in the phase's mix
+	verdict string // X-Cache: hit, miss or dedup
+	via     string // X-Cluster-Via: local, forward or fallback
+	owner   string // X-Cluster-Owner: the key's ring owner
+	node    string // X-Cluster-Node: the entry node that answered
+}
+
+func placementOf(key string, h http.Header) placement {
+	return placement{
+		key:     key,
+		verdict: h.Get("X-Cache"),
+		via:     h.Get(server.ClusterViaHeader),
+		owner:   h.Get(server.ClusterOwnerHeader),
+		node:    h.Get(server.ClusterNodeHeader),
+	}
+}
+
+func (p placement) String() string {
+	return fmt.Sprintf("%s at %s (owner %s)", p.key, orDash(p.node), orDash(p.owner))
+}
+
+// diagnoseMisses records, beside a compute-at-most-once violation, the
+// misses grouped by the path each took and every node's view of its
+// peers, so a failing run says which rung of the degradation ladder fired.
+func diagnoseMisses(r *report, phase string, misses []placement, nodes []*chaosNode) {
+	byPath := make(map[string][]string)
+	for _, m := range misses {
+		byPath[orDash(m.via)] = append(byPath[orDash(m.via)], m.String())
+	}
+	for _, path := range sortedKeys(byPath) {
+		r.diagnose("%s: %d miss(es) via %s: %s", phase, len(byPath[path]), path, strings.Join(byPath[path], "; "))
+	}
+	for _, nd := range nodes {
+		peers, _ := nd.clu.Stats()["peers"].(map[string]any)
+		for _, name := range sortedKeys(peers) {
+			view, _ := peers[name].(map[string]any)
+			lastErr, _ := view["last_error"].(string)
+			r.diagnose("%s: %s sees %s: healthy=%v breaker_open=%v last_error=%q",
+				phase, nd.name, name, view["healthy"], view["breaker_open"], lastErr)
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // ---- healthy soak: byte identity + compute-at-most-once ----
 
 func clusterSoakPhase(r *report, n int, seed int64, requests, concurrency int) {
@@ -125,15 +182,27 @@ func clusterSoakPhase(r *report, n int, seed int64, requests, concurrency int) {
 	sigs := soakMix()
 
 	type obs struct {
-		mu     sync.Mutex
-		bodies map[string][]byte // guarded by mu: signature -> first 200 body
-		misses map[string]int    // guarded by mu: client-visible miss verdicts
+		mu         sync.Mutex
+		bodies     map[string][]byte      // guarded by mu: signature -> first 200 body
+		misses     map[string]int         // guarded by mu: client-visible miss verdicts
+		missPaths  map[string][]placement // guarded by mu: signature -> each miss's placement
+		placements map[string]placement   // guarded by mu: request ID -> its 2xx answer's placement
 	}
-	o := &obs{bodies: make(map[string][]byte), misses: make(map[string]int)}
+	o := &obs{
+		bodies: make(map[string][]byte), misses: make(map[string]int),
+		missPaths: make(map[string][]placement), placements: make(map[string]placement),
+	}
 	observer := func(a client.Attempt) {
-		if a.Err == nil && a.Status >= 300 {
-			checkErrorBody(r, a.Path, a.Status, a.Header, a.Body)
+		if a.Err != nil {
+			return
 		}
+		if a.Status >= 300 {
+			checkErrorBody(r, a.Path, a.Status, a.Header, a.Body)
+			return
+		}
+		o.mu.Lock()
+		o.placements[a.RequestID] = placementOf("", a.Header)
+		o.mu.Unlock()
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -168,8 +237,12 @@ func clusterSoakPhase(r *report, n int, seed int64, requests, concurrency int) {
 				}
 				r.count(fmt.Sprintf("%d %s", meta.Status, orDash(meta.Cache)))
 				o.mu.Lock()
+				pl := o.placements[meta.RequestID]
+				delete(o.placements, meta.RequestID)
 				if meta.Cache == "miss" {
+					pl.key = sig.name
 					o.misses[sig.name]++
+					o.missPaths[sig.name] = append(o.missPaths[sig.name], pl)
 				}
 				if prev, ok := o.bodies[sig.name]; ok {
 					if !bytes.Equal(prev, meta.Body) {
@@ -190,10 +263,15 @@ func clusterSoakPhase(r *report, n int, seed int64, requests, concurrency int) {
 	// With every owner healthy, the cluster computed each signature at
 	// most once: a second client-visible miss means two nodes ran the
 	// same computation.
-	for sig, miss := range o.misses {
-		if miss > 1 {
+	var violating []placement
+	for _, sig := range sortedKeys(o.misses) {
+		if miss := o.misses[sig]; miss > 1 {
 			r.violate("cluster soak: %s: %d cluster-wide misses, want 1", sig, miss)
+			violating = append(violating, o.missPaths[sig]...)
 		}
+	}
+	if len(violating) > 0 {
+		diagnoseMisses(r, "cluster soak", violating, nodes)
 	}
 
 	// Explicit byte-identity sweep: every node answers every signature
@@ -246,6 +324,7 @@ func clusterDedupPhase(r *report, n int, seed int64) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	verdicts := make(map[string]int)
+	var misses []placement
 	first := []byte(nil)
 	release := make(chan struct{})
 	for i := 0; i < k; i++ {
@@ -267,7 +346,11 @@ func clusterDedupPhase(r *report, n int, seed int64) {
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			verdicts[orDash(resp.Header.Get("X-Cache"))]++
+			pl := placementOf("C9/edge", resp.Header)
+			verdicts[orDash(pl.verdict)]++
+			if pl.verdict == "miss" {
+				misses = append(misses, pl)
+			}
 			if first == nil {
 				first = b
 			} else if !bytes.Equal(first, b) {
@@ -282,6 +365,7 @@ func clusterDedupPhase(r *report, n int, seed int64) {
 	defer mu.Unlock()
 	if verdicts["miss"] != 1 {
 		r.violate("cluster dedup: %d cluster-wide misses for %d concurrent twins, want exactly 1", verdicts["miss"], k)
+		diagnoseMisses(r, "cluster dedup", misses, nodes)
 	}
 	if verdicts["miss"]+verdicts["dedup"]+verdicts["hit"] != k {
 		r.violate("cluster dedup: verdicts %v do not account for %d requests", verdicts, k)

@@ -118,6 +118,7 @@ type report struct {
 	mu         sync.Mutex
 	outcomes   map[string]int // guarded by mu: "200 hit", "503 transient", "breaker-open", ...
 	violations []string       // guarded by mu
+	diagnoses  []string       // guarded by mu; printed only beside violations
 	summary    string
 	soak       time.Duration
 }
@@ -128,6 +129,14 @@ func (r *report) violate(format string, args ...any) {
 	if len(r.violations) < 25 {
 		r.violations = append(r.violations, fmt.Sprintf(format, args...))
 	}
+}
+
+// diagnose records context for a violation: printed after the violations,
+// and only when there are some.
+func (r *report) diagnose(format string, args ...any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.diagnoses = append(r.diagnoses, fmt.Sprintf(format, args...))
 }
 
 // failed reports whether any violation was recorded.
@@ -166,6 +175,9 @@ func (r *report) print() {
 	}
 	for _, v := range r.violations {
 		fmt.Printf("  VIOLATION: %s\n", v)
+	}
+	for _, d := range r.diagnoses {
+		fmt.Printf("  DIAGNOSIS: %s\n", d)
 	}
 }
 

@@ -34,7 +34,7 @@
 //	chc repro -calibrate
 //	chc sweep -addr http://127.0.0.1:8080
 //	chc sweep -addr ... -configs C1-C15 -workloads fft,lu,radix -budgets 2000:20000:2000
-//	chc sweep -addr ... -budgets 5000,8000,20000 -brute -ndjson
+//	chc sweep -addr ... -budgets 5000,8000,20000 -ndjson
 //
 // "chc <subcommand> -h" lists a subcommand's flags. A failing subcommand
 // prints one "chc <subcommand>: ..." line on stderr and exits 1; a bad

@@ -119,7 +119,6 @@ var transcripts = []struct {
 	{"repro_help", "repro -h", 0},
 	{"sweep_default", "sweep -addr ADDR", 0},
 	{"sweep_budget_range", "sweep -addr ADDR -configs C1-C15 -workloads fft,lu,radix -budgets 2000:20000:2000", 0},
-	{"sweep_brute_ndjson", "sweep -addr ADDR -budgets 5000,8000,20000 -brute -ndjson", 0},
 	{"sweep_unknown_workload", "sweep -addr ADDR -configs C2 -workloads fft,nope -budgets=", 1},
 	{"sweep_point_error", "sweep -addr ADDR -configs modern-2s-server -workloads tpcc -budgets 1", 2},
 	{"sweep_bad_budgets", "sweep -addr ADDR -budgets 9:1:1", 1},

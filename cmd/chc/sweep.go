@@ -27,7 +27,6 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 		budgets   = fs.String("budgets", "2000,3000,5000,8000,12000,16000,20000,30000,40000,60000",
 			"budget axis: comma list or lo:hi:step (empty: no budget points)")
 		delta   = fs.Float64("delta", 0, "coherence rate adjustment applied to every point")
-		brute   = fs.Bool("brute", false, "force brute-force budget enumeration (verification aid)")
 		ndjson  = fs.Bool("ndjson", false, "emit the raw NDJSON lines instead of the table")
 		timeout = fs.Duration("timeout", 2*time.Minute, "overall deadline for the sweep")
 	)
@@ -48,7 +47,6 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 		Workloads: parseWorkloads(*workloads),
 		Budgets:   budgetAxis,
 		Delta:     *delta,
-		Brute:     *brute,
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -79,12 +77,8 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 			if err := json.Unmarshal(line.Response, &resp); err != nil {
 				return fmt.Errorf("point %d: %w", line.Index, err)
 			}
-			mode := "pruned"
-			if resp.Brute {
-				mode = "brute"
-			}
-			fmt.Fprintf(stdout, "%4d  budget %-8s (%s: %d evals of %d configs)\n",
-				line.Index, resp.Workload, mode, resp.Stats.Evaluated, resp.Stats.Configs)
+			fmt.Fprintf(stdout, "%4d  budget %-8s (pruned: %d evals of %d configs)\n",
+				line.Index, resp.Workload, resp.Stats.Evaluated, resp.Stats.Configs)
 			for _, p := range resp.Points {
 				fmt.Fprintf(stdout, "      $%-7.0f -> %-45s $%-6.0f E=%.3f\n",
 					p.Budget, p.Best.Config.Name, p.Best.Cost, p.Best.EInstr)

@@ -21,14 +21,16 @@ const (
 	outcomeHit    outcome = iota // served from the LRU
 	outcomeMiss                  // this request ran the computation
 	outcomeShared                // waited on an identical in-flight request
+	outcomeLeft                  // the requester's ctx ended before the flight did
 )
 
 // flight is one in-progress computation that concurrent identical
 // requests attach to.
 type flight struct {
-	done chan struct{} // closed when ent/err are final
+	done chan struct{} // closed when ent/err/note are final
 	ent  entry
 	err  error
+	note forwardNote // how the leader's computation was placed
 }
 
 // cacheShard is one lock domain of the result cache: an LRU of completed
@@ -97,36 +99,51 @@ func (c *resultCache) shard(key string) *cacheShard {
 	return c.shards[h%uint32(len(c.shards))]
 }
 
-// do returns the cached entry for key, or runs compute exactly once across
-// all concurrent callers with the same key. Successful (2xx) results enter
-// the LRU; errors and non-2xx entries are shared with concurrent waiters
-// but not cached, so a transient failure doesn't poison the key. A waiter
-// whose ctx expires abandons the wait (the leader still completes and
-// caches for future callers).
+// do answers key from the cache or from the key's flight. A hit is
+// answered synchronously, before ctx is consulted. Otherwise the caller
+// joins the key's flight, or opens it as the leader and starts comp on
+// the flight's own goroutine; leader and waiters then wait alike, on the
+// flight or on their own ctx. The cache owns the computation and a
+// requester owns only its wait: comp runs exactly once across all
+// concurrent callers with the same key and always runs to completion, so
+// a requester whose ctx ends first (outcomeLeft, ctx.Err()) leaves the
+// result to be cached for the next caller. Successful (2xx) results enter
+// the LRU; errors and non-2xx entries are shared with the flight's waiters
+// but not cached, so a transient failure doesn't poison the key. Only the
+// leader gets the flight's forwardNote.
 //
 //chc:hotpath
-func (c *resultCache) do(ctx context.Context, key string, compute func() (entry, error)) (entry, outcome, error) {
+func (c *resultCache) do(ctx context.Context, key string, comp computation) (entry, outcome, forwardNote, error) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if ent, ok := sh.hitLocked(key); ok {
 		sh.mu.Unlock()
-		return ent, outcomeHit, nil
+		return ent, outcomeHit, forwardNote{}, nil
 	}
-	if f, ok := sh.flights[key]; ok {
-		sh.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.ent, outcomeShared, f.err
-		case <-ctx.Done():
-			return entry{}, outcomeShared, ctx.Err()
-		}
+	f, joined := sh.flights[key]
+	if !joined {
+		f = &flight{done: make(chan struct{})}
+		sh.flights[key] = f
 	}
-	f := &flight{done: make(chan struct{})}
-	sh.flights[key] = f
 	sh.mu.Unlock()
+	if !joined {
+		go sh.lead(ctx, key, f, comp)
+	}
+	select {
+	case <-f.done:
+		if joined {
+			return f.ent, outcomeShared, forwardNote{}, f.err
+		}
+		return f.ent, outcomeMiss, f.note, f.err
+	case <-ctx.Done():
+		return entry{}, outcomeLeft, forwardNote{}, ctx.Err()
+	}
+}
 
-	f.ent, f.err = compute()
-
+// lead runs a flight's computation, publishes its result to the flight
+// and, on success, to the LRU.
+func (sh *cacheShard) lead(ctx context.Context, key string, f *flight, comp computation) {
+	f.ent, f.err = comp.run(ctx, key, &f.note)
 	sh.mu.Lock()
 	delete(sh.flights, key)
 	if f.err == nil && f.ent.status >= 200 && f.ent.status < 300 {
@@ -134,20 +151,6 @@ func (c *resultCache) do(ctx context.Context, key string, compute func() (entry,
 	}
 	sh.mu.Unlock()
 	close(f.done)
-	return f.ent, outcomeMiss, f.err
-}
-
-// get returns the cached entry for key, if any, without joining or
-// starting a flight: the probe that lets a hit skip the cache protocol's
-// goroutine.
-//
-//chc:hotpath
-func (c *resultCache) get(key string) (entry, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	ent, ok := sh.hitLocked(key)
-	sh.mu.Unlock()
-	return ent, ok
 }
 
 // hitLocked returns the cached entry for key and marks it most recently

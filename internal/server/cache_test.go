@@ -10,19 +10,32 @@ import (
 	"testing"
 )
 
-func ok(body string) func() (entry, error) {
-	return func() (entry, error) { return entry{status: 200, body: []byte(body)}, nil }
+// plain is f as a computation of a bare Server: no fault injection, no
+// cluster placement.
+func plain(f func() (entry, error)) computation {
+	return computation{s: &Server{}, compute: f}
+}
+
+func ok(body string) computation {
+	return plain(func() (entry, error) { return entry{status: 200, body: []byte(body)}, nil })
 }
 
 func TestCacheHitAndMiss(t *testing.T) {
 	c := newResultCache(8, 2)
 	ctx := context.Background()
 
-	ent, how, err := c.do(ctx, "k", ok("v1"))
+	ent, how, _, err := c.do(ctx, "k", ok("v1"))
 	if err != nil || how != outcomeMiss || string(ent.body) != "v1" {
 		t.Fatalf("first do = %q %v %v", ent.body, how, err)
 	}
-	ent, how, err = c.do(ctx, "k", ok("v2"))
+	// A hit runs no computation and is answered before the context is
+	// consulted: even a requester whose deadline has passed gets it.
+	expired, cancel := context.WithCancel(ctx)
+	cancel()
+	ent, how, _, err = c.do(expired, "k", plain(func() (entry, error) {
+		t.Error("a cache hit ran the computation")
+		return entry{}, errors.New("unreachable")
+	}))
 	if err != nil || how != outcomeHit || string(ent.body) != "v1" {
 		t.Fatalf("second do = %q %v %v, want cached v1", ent.body, how, err)
 	}
@@ -38,44 +51,18 @@ func TestCacheLRUEviction(t *testing.T) {
 		c.do(ctx, fmt.Sprintf("k%d", i), ok("v"))
 	}
 	// Touch k0 so k1 is the LRU victim.
-	if _, how, _ := c.do(ctx, "k0", ok("x")); how != outcomeHit {
+	if _, how, _, _ := c.do(ctx, "k0", ok("x")); how != outcomeHit {
 		t.Fatalf("k0 = %v, want hit", how)
 	}
 	c.do(ctx, "k4", ok("v")) // evicts k1
-	if _, how, _ := c.do(ctx, "k1", ok("recomputed")); how != outcomeMiss {
+	if _, how, _, _ := c.do(ctx, "k1", ok("recomputed")); how != outcomeMiss {
 		t.Errorf("k1 after eviction = %v, want miss", how)
 	}
-	if _, how, _ := c.do(ctx, "k0", ok("x")); how != outcomeHit {
+	if _, how, _, _ := c.do(ctx, "k0", ok("x")); how != outcomeHit {
 		t.Errorf("k0 = %v, want hit (recently used, not evicted)", how)
 	}
 	if c.len() != 4 {
 		t.Errorf("len = %d, want capacity 4", c.len())
-	}
-}
-
-// TestCacheGetProbes: get answers hits, refreshes their LRU position and
-// never opens a flight on a miss.
-func TestCacheGetProbes(t *testing.T) {
-	c := newResultCache(2, 1) // one shard, capacity 2
-	ctx := context.Background()
-	if _, hit := c.get("k0"); hit {
-		t.Fatal("get hit an empty cache")
-	}
-	if n := len(c.shards[0].flights); n != 0 {
-		t.Fatalf("a missed get left %d flights open", n)
-	}
-	c.do(ctx, "k0", ok("v0"))
-	c.do(ctx, "k1", ok("v1"))
-	if ent, hit := c.get("k0"); !hit || string(ent.body) != "v0" {
-		t.Fatalf("get(k0) = %q, %v", ent.body, hit)
-	}
-	// The get made k0 the most recent, so k2 evicts k1.
-	c.do(ctx, "k2", ok("v2"))
-	if _, hit := c.get("k1"); hit {
-		t.Error("k1 survived; get did not refresh k0's LRU position")
-	}
-	if _, hit := c.get("k0"); !hit {
-		t.Error("k0 evicted although a get had just used it")
 	}
 }
 
@@ -84,16 +71,16 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	ctx := context.Background()
 
 	boom := errors.New("boom")
-	_, how, err := c.do(ctx, "k", func() (entry, error) { return entry{}, boom })
+	_, how, _, err := c.do(ctx, "k", plain(func() (entry, error) { return entry{}, boom }))
 	if how != outcomeMiss || err != boom {
 		t.Fatalf("do = %v %v", how, err)
 	}
 	// Non-2xx results are shared with waiters but not cached either.
-	c.do(ctx, "k4xx", func() (entry, error) { return entry{status: 400, body: []byte("bad")}, nil })
+	c.do(ctx, "k4xx", plain(func() (entry, error) { return entry{status: 400, body: []byte("bad")}, nil }))
 	if c.len() != 0 {
 		t.Fatalf("len = %d after error and 4xx, want 0", c.len())
 	}
-	if _, how, err = c.do(ctx, "k", ok("fine")); how != outcomeMiss || err != nil {
+	if _, how, _, err = c.do(ctx, "k", ok("fine")); how != outcomeMiss || err != nil {
 		t.Errorf("retry = %v %v, want a fresh miss", how, err)
 	}
 }
@@ -109,11 +96,11 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, how, err := c.do(context.Background(), "same", func() (entry, error) {
+			_, how, _, err := c.do(context.Background(), "same", plain(func() (entry, error) {
 				computations.Add(1)
 				<-release
 				return entry{status: 200, body: []byte("shared")}, nil
-			})
+			}))
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
@@ -145,20 +132,52 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	c := newResultCache(8, 1)
 	release := make(chan struct{})
 	leaderIn := make(chan struct{})
-	go c.do(context.Background(), "k", func() (entry, error) {
+	go c.do(context.Background(), "k", plain(func() (entry, error) {
 		close(leaderIn)
 		<-release
 		return entry{status: 200, body: []byte("late")}, nil
-	})
+	}))
 	<-leaderIn
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.do(ctx, "k", ok("unused"))
+	_, _, _, err := c.do(ctx, "k", ok("unused"))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled waiter err = %v, want context.Canceled", err)
 	}
 	close(release)
+}
+
+// TestCacheLeaderOutlivesRequester: the cache owns the computation. A
+// leader whose context ends leaves with outcomeLeft, but its flight runs
+// to completion and caches the result for the next caller.
+func TestCacheLeaderOutlivesRequester(t *testing.T) {
+	c := newResultCache(8, 1)
+	release := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var computations atomic.Int64
+	_, how, _, err := c.do(ctx, "k", plain(func() (entry, error) {
+		computations.Add(1)
+		<-release
+		return entry{status: 200, body: []byte("finished")}, nil
+	}))
+	if how != outcomeLeft || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader = %v %v, want outcomeLeft with context.Canceled", how, err)
+	}
+	close(release)
+	// The flight is still open until its computation publishes, so this
+	// call either joins it or hits the entry it left; it never recomputes.
+	ent, how, _, err := c.do(context.Background(), "k", ok("recomputed"))
+	if err != nil || string(ent.body) != "finished" || (how != outcomeShared && how != outcomeHit) {
+		t.Fatalf("after the leader left: %q %v %v, want the leader's result", ent.body, how, err)
+	}
+	if _, how, _, _ := c.do(context.Background(), "k", ok("recomputed")); how != outcomeHit {
+		t.Errorf("third do = %v, want hit", how)
+	}
+	if n := computations.Load(); n != 1 {
+		t.Errorf("computations = %d, want 1", n)
+	}
 }
 
 // TestShardHashMatchesFNV pins the inlined shard hash to hash/fnv's

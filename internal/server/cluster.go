@@ -89,7 +89,10 @@ type ForwardResult struct {
 // canonical body replays against. Every key of the result cache is
 // "endpoint\x00canonicalJSON", and for these endpoints the canonical
 // JSON is itself a valid request that resolves back to the same key —
-// so the forwarder needs no separate serialization of the request.
+// so the forwarder needs no separate serialization of the request. A
+// grid's predict points carry predict keys and forward like single
+// requests; its budget points ("sweepbudgets") have no standalone
+// endpoint to replay against and stay local.
 var forwardPaths = map[string]string{
 	"predict":  "/v1/predict",
 	"optimize": "/v1/optimize",
@@ -107,52 +110,55 @@ type forwardNote struct {
 	cache string // the owner's X-Cache, when via == "forward"
 }
 
-// keyPayload strips the endpoint frame from a cache key, leaving the
-// canonical JSON body a forwarded request replays.
-func keyPayload(key string) []byte {
-	if i := strings.IndexByte(key, 0); i >= 0 {
-		return []byte(key[i+1:])
+// forwardTarget splits a cache key into the API path its canonical body
+// replays against and that body; ok is false for keys of endpoints that
+// cannot be forwarded.
+func forwardTarget(key string) (path, body string, ok bool) {
+	endpoint, body, found := strings.Cut(key, "\x00")
+	if !found {
+		return "", "", false
 	}
-	return []byte(key)
+	path, ok = forwardPaths[endpoint]
+	return path, body, ok
 }
 
-// forwardableCompute wraps a leader computation with the cluster
-// placement rules above. It must only wrap computations for endpoints in
-// forwardPaths and requests that did not themselves arrive forwarded.
+// forwardToOwner applies the cluster placement rules above to a flight
+// leader's key. ok reports an answer relayed from one of the key's
+// owners; otherwise the leader computes locally, and note says whether
+// it owns the key ("local") or its owners were unusable ("fallback").
+// Keys outside forwardPaths always compute locally.
 //
 //chc:hotpath
-func (s *Server) forwardableCompute(ctx context.Context, endpoint, key, requestID string, compute func() (entry, error), note *forwardNote) func() (entry, error) {
-	path, ok := forwardPaths[endpoint]
-	if !ok || s.forwarder == nil {
-		return compute
+func (s *Server) forwardToOwner(ctx context.Context, key, requestID string, note *forwardNote) (entry, bool) {
+	path, body, ok := forwardTarget(key)
+	if !ok {
+		return entry{}, false
 	}
-	return func() (entry, error) {
-		owners, local := s.forwarder.Place(key)
-		if local {
-			note.via = "local"
-			return compute()
-		}
-		payload := keyPayload(key)
-		for _, peer := range owners {
-			res, err := s.forwarder.Forward(ctx, peer, path, requestID, payload)
-			if err != nil {
-				// Unreachable, circuit-open, draining, or a non-2xx
-				// answer: try the next owner, then fall back locally. A
-				// deterministic rejection (bad request, infeasible) will
-				// reproduce identically in the local computation, with
-				// this node's error body.
-				s.metrics.ForwardFails.Add(1)
-				continue
-			}
-			note.via, note.owner, note.cache = "forward", peer, res.Cache
-			s.metrics.Forwards.Add(peer, 1)
-			return entry{status: res.Status, body: res.Body}, nil
-		}
-		s.metrics.LocalFallbacks.Add(1)
-		note.via = "fallback"
-		if len(owners) > 0 {
-			note.owner = owners[0]
-		}
-		return compute()
+	owners, local := s.forwarder.Place(key)
+	if local {
+		note.via = "local"
+		return entry{}, false
 	}
+	payload := []byte(body)
+	for _, peer := range owners {
+		res, err := s.forwarder.Forward(ctx, peer, path, requestID, payload)
+		if err != nil {
+			// Unreachable, circuit-open, draining, or a non-2xx answer:
+			// try the next owner, then fall back locally. A
+			// deterministic rejection (bad request, infeasible) will
+			// reproduce identically in the local computation, with this
+			// node's error body.
+			s.metrics.ForwardFails.Add(1)
+			continue
+		}
+		note.via, note.owner, note.cache = "forward", peer, res.Cache
+		s.metrics.Forwards.Add(peer, 1)
+		return entry{status: res.Status, body: res.Body}, true
+	}
+	s.metrics.LocalFallbacks.Add(1)
+	note.via = "fallback"
+	if len(owners) > 0 {
+		note.owner = owners[0]
+	}
+	return entry{}, false
 }

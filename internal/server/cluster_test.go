@@ -1,7 +1,7 @@
 package server
 
 // Tests for the server side of cluster mode: the PeerForwarder seam in
-// serveCached (cluster.go), exercised with a stub forwarder so placement
+// the cached-compute path (cluster.go), exercised with a stub forwarder so placement
 // and transport outcomes are scripted. End-to-end multi-node behavior —
 // real rings, real peer clients, byte-identity across entry nodes —
 // lives in internal/cluster's tests.
@@ -128,6 +128,68 @@ func TestForwardMissRelaysOwnerBytes(t *testing.T) {
 	}
 	if n := fwd.forwardCount(); n != 1 {
 		t.Errorf("forward count = %d, want 1 (repeat served locally)", n)
+	}
+}
+
+// TestSweepForwardsPeerOwnedPoints: in cluster mode a grid's predict
+// point owned by a peer is forwarded once, and its line carries the
+// owner's verdict (here a hit on the pre-warmed owner), not the entry's
+// local miss. The relayed bytes enter the entry's cache under the predict
+// key, so a later /v1/predict for the same key is a local hit. The grid's
+// budget point has no standalone endpoint and computes locally.
+func TestSweepForwardsPeerOwnedPoints(t *testing.T) {
+	owner := New(Config{})
+	defer owner.Close()
+	if rec := post(t, owner, "/v1/predict", predictReq); rec.Code != http.StatusOK {
+		t.Fatalf("warming the owner: status = %d", rec.Code)
+	}
+	fwd := &stubForwarder{
+		self:  "entry",
+		place: func(string) ([]string, bool) { return []string{"owner"}, false },
+	}
+	fwd.forward = func(ctx context.Context, peer, path, requestID string, body []byte) (ForwardResult, error) {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set(ForwardedHeader, fwd.self)
+		rec := httptest.NewRecorder()
+		owner.Handler().ServeHTTP(rec, req)
+		return ForwardResult{Status: rec.Code, Cache: rec.Header().Get("X-Cache"), Body: rec.Body.Bytes()}, nil
+	}
+	entry := New(Config{Forwarder: fwd})
+	defer entry.Close()
+
+	rec := post(t, entry, "/v1/sweep", SweepRequest{
+		Configs: []ConfigSpec{predictReq.Config}, Workloads: []WorkloadSpec{predictReq.Workload},
+		Budgets: []float64{5000},
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sweep status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	lines, summary := readStream(t, rec.Body.Bytes())
+	if len(lines) != 2 || lines[0].Kind != "predict" || lines[1].Kind != "budget" {
+		t.Fatalf("lines = %+v", lines)
+	}
+	if lines[0].Error != nil || lines[0].Cache != "hit" {
+		t.Errorf("forwarded point: cache %q, error %+v; want the owner's verdict hit", lines[0].Cache, lines[0].Error)
+	}
+	if lines[1].Error != nil || lines[1].Cache != "miss" {
+		t.Errorf("budget point: cache %q, error %+v; want a local miss", lines[1].Cache, lines[1].Error)
+	}
+	if summary.CacheHits != 1 || summary.CacheMisses != 1 || !summary.Complete {
+		t.Errorf("summary = %+v, want 1 hit (relayed) and 1 miss (local budget)", summary)
+	}
+	if n := fwd.forwardCount(); n != 1 {
+		t.Fatalf("forwards = %d, want 1 (the predict point only)", n)
+	}
+
+	single := post(t, entry, "/v1/predict", predictReq)
+	if got := single.Header().Get("X-Cache"); single.Code != http.StatusOK || got != "hit" {
+		t.Errorf("predict after the sweep: status %d, X-Cache %q; want a local hit", single.Code, got)
+	}
+	if !bytes.Equal(compact(t, single.Body.Bytes()), lines[0].Response) {
+		t.Error("the sweep line and the later predict carry different bytes")
+	}
+	if n := fwd.forwardCount(); n != 1 {
+		t.Errorf("forwards = %d after the predict, want still 1", n)
 	}
 }
 

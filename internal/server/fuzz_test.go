@@ -130,8 +130,7 @@ func FuzzCanonicalKey(f *testing.F) {
 		}
 
 		// Sweep budget keys embed their own endpoint and the full budget
-		// axis: they can never collide with predict keys, and the brute
-		// flag keys separately (its stats differ).
+		// axis: they can never collide with predict keys.
 		bk := sweepBudgetsKey{Workload: cwl, Budgets: []float64{1000, 5000}, Delta: delta}
 		budgetKey, err := canonicalKey("sweepbudgets", bk)
 		if err != nil {
@@ -139,11 +138,6 @@ func FuzzCanonicalKey(f *testing.F) {
 		}
 		if budgetKey == key1 {
 			t.Fatalf("budget key collides with predict key: %q", budgetKey)
-		}
-		bk.Brute = true
-		bruteKey, err := canonicalKey("sweepbudgets", bk)
-		if err != nil || bruteKey == budgetKey {
-			t.Fatalf("brute and pruned budget searches share a key: %q (err %v)", budgetKey, err)
 		}
 	})
 }

@@ -13,7 +13,9 @@ import (
 // requestIDHeader is propagated in and out: a client-supplied ID is echoed
 // (so retries and distributed traces correlate), otherwise one is
 // generated. Every response carries it, and every error body repeats it.
-const requestIDHeader = "X-Request-ID"
+// It is spelled in canonical MIME form, as net/http stores and sends it,
+// so looking it up allocates no canonicalized copy.
+const requestIDHeader = "X-Request-Id"
 
 // maxRequestIDLen bounds accepted client-supplied IDs; longer (or
 // non-printable) values are replaced rather than echoed.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -28,7 +27,6 @@ type workerPool struct {
 }
 
 type poolJob struct {
-	ctx  context.Context
 	fn   func()
 	done chan struct{}
 	// panicked is what fn panicked with, set before done closes; do
@@ -71,23 +69,22 @@ func newWorkerPool(workers, queueDepth int) *workerPool {
 func (p *workerPool) run() {
 	defer p.wg.Done()
 	for j := range p.jobs {
-		if j.ctx.Err() == nil { // skip work whose requester already left
-			j.run()
-		}
+		j.run()
 		p.queued.Add(-1)
 		close(j.done)
 	}
 }
 
-// do runs fn on a pool worker. It fails fast with ErrOverloaded when the
-// queue is full and returns ctx.Err() if the context expires while the job
-// is queued or running (an accepted job still runs to completion so its
-// result can be cached; fn must tolerate an absent requester). A panic in
-// fn is re-raised here, on the caller's goroutine, where the caller's
-// recover (Server.wrapCompute) turns it into an error; the worker keeps
-// serving. If the requester has already left, the panic is dropped.
-func (p *workerPool) do(ctx context.Context, fn func()) error {
-	j := &poolJob{ctx: ctx, fn: fn, done: make(chan struct{})}
+// do runs fn on a pool worker and waits for it. It fails fast with
+// ErrOverloaded when the queue is full; an accepted job always runs to
+// completion. The wait has no deadline of its own: do runs inside a cache
+// flight's computation (Server.handleValidate), which owns no requester,
+// so a requester that gives up leaves the finished simulation to be
+// cached. A panic in fn is re-raised here, on the caller's goroutine,
+// where the caller's recover (Server.guardCompute) turns it into an error;
+// the worker keeps serving.
+func (p *workerPool) do(fn func()) error {
+	j := &poolJob{fn: fn, done: make(chan struct{})}
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -100,15 +97,11 @@ func (p *workerPool) do(ctx context.Context, fn func()) error {
 	}
 	p.jobs <- j // cannot block: accepted jobs ≤ limit = channel capacity
 	p.mu.RUnlock()
-	select {
-	case <-j.done:
-		if j.panicked != nil {
-			panic(j.panicked)
-		}
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	<-j.done
+	if j.panicked != nil {
+		panic(j.panicked)
 	}
+	return nil
 }
 
 // depth reports jobs accepted and not yet finished (queued + running).

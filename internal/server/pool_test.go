@@ -1,8 +1,6 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +16,7 @@ func TestPoolRunsJobs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := p.do(context.Background(), func() { n.Add(1) }); err != nil && err != ErrOverloaded {
+			if err := p.do(func() { n.Add(1) }); err != nil && err != ErrOverloaded {
 				t.Errorf("do: %v", err)
 			}
 		}()
@@ -39,46 +37,23 @@ func TestPoolShedsWhenFull(t *testing.T) {
 	started := make(chan struct{})
 
 	// Fill the worker...
-	go p.do(context.Background(), func() { close(started); <-block })
+	go p.do(func() { close(started); <-block })
 	<-started
 	// ...and the single queue slot.
 	queued := make(chan error, 1)
-	go func() { queued <- p.do(context.Background(), func() {}) }()
+	go func() { queued <- p.do(func() {}) }()
 	for p.depth() < 2 {
 		time.Sleep(time.Millisecond)
 	}
 
 	// The pool is saturated: the next submission is shed immediately.
-	if err := p.do(context.Background(), func() {}); err != ErrOverloaded {
+	if err := p.do(func() {}); err != ErrOverloaded {
 		t.Errorf("do on full pool = %v, want ErrOverloaded", err)
 	}
 
 	close(block)
 	if err := <-queued; err != nil {
 		t.Errorf("queued job err = %v", err)
-	}
-}
-
-func TestPoolContextCancellation(t *testing.T) {
-	p := newWorkerPool(1, 4)
-	defer p.shutdown()
-	block := make(chan struct{})
-	started := make(chan struct{})
-	go p.do(context.Background(), func() { close(started); <-block })
-	<-started
-
-	// A queued job whose requester gives up: do returns the context error,
-	// and the worker later skips the job (expired ctx).
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	ran := false
-	if err := p.do(ctx, func() { ran = true }); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("do = %v, want DeadlineExceeded", err)
-	}
-	close(block)
-	p.shutdown()
-	if ran {
-		t.Error("job with expired context still ran")
 	}
 }
 
@@ -91,7 +66,7 @@ func TestPoolShutdownDrains(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		entered.Add(1)
 		go func() {
-			errs <- p.do(context.Background(), func() {
+			errs <- p.do(func() {
 				entered.Done()
 				<-gate
 				done.Add(1)
@@ -101,7 +76,7 @@ func TestPoolShutdownDrains(t *testing.T) {
 	entered.Wait()
 	// Queue two more behind the busy workers.
 	for i := 0; i < 2; i++ {
-		go func() { errs <- p.do(context.Background(), func() { done.Add(1) }) }()
+		go func() { errs <- p.do(func() { done.Add(1) }) }()
 	}
 	for p.depth() < 4 {
 		time.Sleep(time.Millisecond)
@@ -121,7 +96,7 @@ func TestPoolShutdownDrains(t *testing.T) {
 			t.Errorf("accepted job err = %v", err)
 		}
 	}
-	if err := p.do(context.Background(), func() {}); err != ErrShuttingDown {
+	if err := p.do(func() {}); err != ErrShuttingDown {
 		t.Errorf("do after shutdown = %v, want ErrShuttingDown", err)
 	}
 	p.shutdown() // idempotent

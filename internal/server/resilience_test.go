@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +194,42 @@ func TestRouteDeadlineEnforced(t *testing.T) {
 	}
 	if got := s.metrics.Timeouts.Value(); got != 1 {
 		t.Errorf("timeouts metric = %d, want 1", got)
+	}
+}
+
+// TestValidateDeadlineStillCaches: a /v1/validate requester that reaches
+// its deadline gets a 503, but the simulation it started runs to
+// completion and is cached, so the next identical request is a hit and
+// the platform is simulated exactly once.
+func TestValidateDeadlineStillCaches(t *testing.T) {
+	s := New(Config{SimTimeout: 50 * time.Millisecond})
+	defer s.Close()
+	release := make(chan struct{})
+	var simulations atomic.Int64
+	s.simulate = func(machine.Config, string) (backend.RunResult, error) {
+		simulations.Add(1)
+		<-release // outlasts the requester's deadline
+		return fakeRunResult(), nil
+	}
+	req := ValidateRequest{Config: ConfigSpec{Name: "C4"}, Workload: "fft"}
+
+	checkErrorContract(t, post(t, s, "/v1/validate", req), http.StatusServiceUnavailable, CodeDeadline)
+	close(release)
+	for deadline := time.Now().Add(5 * time.Second); s.cache.len() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the simulation whose requester timed out never entered the cache")
+		}
+	}
+
+	rec := post(t, s, "/v1/validate", req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("repeat: status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get("X-Cache"); got != "hit" {
+		t.Errorf("repeat X-Cache = %q, want hit", got)
+	}
+	if n := simulations.Load(); n != 1 {
+		t.Errorf("simulate ran %d times, want 1", n)
 	}
 }
 

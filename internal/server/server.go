@@ -371,22 +371,13 @@ func (s *Server) post(w http.ResponseWriter, r *http.Request, timeout time.Durat
 	return ctx, cancel, true
 }
 
-// serveCached runs the cache+singleflight protocol around compute and
-// writes the resulting bytes, tagging the response with X-Cache. A cache
-// hit is answered synchronously: one probe, then the write. A miss or a
-// single-flight wait runs the protocol in its own goroutine, so the
-// route's deadline is enforced even against a stalled computation: the
-// handler answers 503 at the deadline, while a leader keeps computing in
-// the background so the finished result is cached for future callers
-// (waiters already abandon on ctx inside cache.do). Compute-site fault
-// injection wraps the computation, so injected failures share the
-// single-flight path real failures take.
-//
-// In cluster mode the single-flight leader additionally consults the
-// ring (cluster.go): a miss on a peer-owned key forwards to the owner
-// inside the leader slot, so local duplicates dedup onto one forward and
-// the forwarded answer — byte-identical to the owner's — lands in the
-// local cache, replicating the hot key at its entry node.
+// serveCached answers a cache-backed request through cached and writes
+// the resulting bytes, tagging the response with X-Cache. A hit is
+// answered synchronously: one shard lock, then the write. Otherwise the
+// handler waits on the key's flight until the route's deadline, which is
+// enforced even against a stalled computation: the handler answers 503
+// at the deadline while the flight keeps computing, so the finished
+// result is cached for future callers.
 //
 //chc:hotpath
 func (s *Server) serveCached(ctx context.Context, w http.ResponseWriter, r *http.Request, endpoint, key string, compute func() (entry, error)) {
@@ -404,69 +395,24 @@ func (s *Server) serveCached(ctx context.Context, w http.ResponseWriter, r *http
 			return
 		}
 	}
-	if ent, ok := s.cache.get(key); ok {
-		s.metrics.CacheHits.Add(1)
-		w.Header().Set("X-Cache", "hit")
-		writeEntry(w, ent)
-		return
-	}
-	// A miss: the entry may still land before cache.do looks again, so
-	// outcomeHit remains possible below.
-	var note forwardNote
-	run := s.wrapCompute(endpoint, compute)
-	if s.forwarder != nil && !forwarded {
-		run = s.forwardableCompute(ctx, endpoint, key, w.Header().Get(requestIDHeader), run, &note)
-	}
-	type cacheAnswer struct {
-		ent entry
-		how outcome
-		err error
-	}
-	done := make(chan cacheAnswer, 1)
-	go func() {
-		ent, how, err := s.cache.do(ctx, key, run)
-		done <- cacheAnswer{ent, how, err}
-	}()
-	var ans cacheAnswer
-	select {
-	case ans = <-done:
-	case <-ctx.Done():
+	ent, verdict, note, err := s.cached(ctx, endpoint, key, w.Header().Get(requestIDHeader), forwarded, compute)
+	if verdict == "" {
 		s.metrics.Timeouts.Add(1)
-		s.fail(w, http.StatusServiceUnavailable, ctx.Err())
+		s.fail(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	switch ans.how {
-	case outcomeHit:
-		s.metrics.CacheHits.Add(1)
-		w.Header().Set("X-Cache", "hit")
-	case outcomeShared:
-		s.metrics.DedupWaits.Add(1)
-		w.Header().Set("X-Cache", "dedup")
-	default:
-		s.metrics.CacheMisses.Add(1)
-		// A forwarded answer relays the owner's X-Cache verdict: the
-		// cluster-wide miss count then equals actual computations, no
-		// matter which entry node a client hit.
-		if note.via == "forward" && note.cache != "" {
-			w.Header().Set("X-Cache", note.cache)
-		} else {
-			w.Header().Set("X-Cache", "miss")
-		}
-	}
-	// note is written by the leader closure before its cache.do returns,
-	// which happens-before the done receive above; waiters and hits leave
-	// it empty and get no placement headers.
+	w.Header().Set("X-Cache", verdict)
 	if note.via != "" {
 		w.Header().Set(ClusterViaHeader, note.via)
 		if note.owner != "" {
 			w.Header().Set(ClusterOwnerHeader, note.owner)
 		}
 	}
-	if ans.err != nil {
-		s.fail(w, http.StatusInternalServerError, ans.err)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeEntry(w, ans.ent)
+	writeEntry(w, ent)
 }
 
 // writeEntry writes a cached or computed entry as the response.
@@ -478,27 +424,87 @@ func writeEntry(w http.ResponseWriter, ent entry) {
 	w.Write(ent.body)
 }
 
-// wrapCompute guards a computation with panic recovery and compute-site
-// fault injection. Computations run in detached goroutines (the cache
-// protocol's, or a sweep worker's), out of reach of the middleware's
-// recover: panics convert to errors here so a crashed computation yields a
-// 500 (or an error line), never a dead process, and the single-flight
-// leader state unwinds normally on the error path.
-func (s *Server) wrapCompute(endpoint string, compute func() (entry, error)) func() (entry, error) {
-	return func() (ent entry, err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.metrics.Panics.Add(1)
-				err = &computePanicError{endpoint: endpoint, value: rec}
-			}
-		}()
-		if s.faults != nil {
-			if err := s.faults.Inject(faults.SiteCompute, endpoint); err != nil {
-				return entry{}, err
-			}
-		}
-		return compute()
+// cached is the one cached-compute path: every cache-backed request and
+// every grid point runs its computation through it, and it is the one
+// place that maps a cache outcome to its X-Cache verdict and the cache
+// metrics: "hit", "dedup", "miss", or — for a miss relayed from the key's
+// owner — the owner's verdict, so the cluster-wide miss count equals
+// actual computations no matter which entry node a client hit. note says
+// how the leader's computation was placed; waiters and hits get none. An
+// empty verdict means ctx ended before the key's flight did: err is
+// ctx.Err(), nothing is counted, and the flight still completes and
+// caches its result.
+//
+//chc:hotpath
+func (s *Server) cached(ctx context.Context, endpoint, key, requestID string, forwarded bool, compute func() (entry, error)) (entry, string, forwardNote, error) {
+	comp := computation{
+		s: s, endpoint: endpoint, requestID: requestID,
+		forward: s.forwarder != nil && !forwarded, compute: compute,
 	}
+	ent, how, note, err := s.cache.do(ctx, key, comp)
+	switch how {
+	case outcomeHit:
+		s.metrics.CacheHits.Add(1)
+		return ent, "hit", note, err
+	case outcomeShared:
+		s.metrics.DedupWaits.Add(1)
+		return ent, "dedup", note, err
+	case outcomeMiss:
+		s.metrics.CacheMisses.Add(1)
+		if note.via == "forward" && note.cache != "" {
+			return ent, note.cache, note, err
+		}
+		return ent, "miss", note, err
+	}
+	return ent, "", note, err // outcomeLeft
+}
+
+// computation is the work behind one cache key as the key's flight
+// leader runs it. It travels by value, so answering a hit allocates
+// nothing for it. In cluster mode the leader first consults the ring
+// (cluster.go): a peer-owned key is forwarded to its owner inside the
+// flight, so local duplicates dedup onto one forward, and the relayed
+// answer — byte-identical to the owner's — lands in the local cache,
+// replicating the hot key at its entry node.
+type computation struct {
+	s         *Server
+	endpoint  string // the fault-injection endpoint and the panic label
+	requestID string // carried to the key's owner by a forward
+	forward   bool   // place the key on the ring (cluster mode, not itself forwarded)
+	compute   func() (entry, error)
+}
+
+// run answers a flight leader's key: relayed from the key's owner when
+// the ring places it on a reachable peer, computed here otherwise. It
+// records the placement in note.
+func (c computation) run(ctx context.Context, key string, note *forwardNote) (entry, error) {
+	if c.forward {
+		if ent, ok := c.s.forwardToOwner(ctx, key, c.requestID, note); ok {
+			return ent, nil
+		}
+	}
+	return c.s.guardCompute(c.endpoint, c.compute)
+}
+
+// guardCompute runs a computation under panic recovery and compute-site
+// fault injection, so injected failures take the path real failures take.
+// Computations run on their cache flight's goroutine, out of reach of the
+// middleware's recover: panics convert to errors here so a crashed
+// computation yields a 500 (or an error line), never a dead process, and
+// the flight closes normally on the error path.
+func (s *Server) guardCompute(endpoint string, compute func() (entry, error)) (ent entry, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.metrics.Panics.Add(1)
+			err = &computePanicError{endpoint: endpoint, value: rec}
+		}
+	}()
+	if s.faults != nil {
+		if err := s.faults.Inject(faults.SiteCompute, endpoint); err != nil {
+			return entry{}, err
+		}
+	}
+	return compute()
 }
 
 // render marshals a successful response body into a cacheable entry.
@@ -745,7 +751,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		// The expensive leg: bounded workers, bounded queue, shed beyond.
 		var res backend.RunResult
 		var simErr error
-		if err := s.pool.do(ctx, func() {
+		if err := s.pool.do(func() {
 			res, simErr = s.simulate(cfg, kernel)
 		}); err != nil {
 			return entry{}, err

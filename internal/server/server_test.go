@@ -551,7 +551,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 
 	// New simulation work after drain is refused, not queued.
-	if err := s.pool.do(context.Background(), func() {}); err != ErrShuttingDown {
+	if err := s.pool.do(func() {}); err != ErrShuttingDown {
 		t.Errorf("pool.do after shutdown = %v, want ErrShuttingDown", err)
 	}
 }

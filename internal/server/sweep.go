@@ -44,10 +44,6 @@ type SweepRequest struct {
 	Budgets []float64 `json:"budgets,omitempty"`
 	// Delta is the coherence adjustment applied to every point.
 	Delta float64 `json:"delta,omitempty"`
-	// Brute forces the budget optimization through the per-budget
-	// brute-force enumeration instead of the pruned search — a
-	// verification aid; winners are bit-identical either way.
-	Brute bool `json:"brute,omitempty"`
 	// Offset resumes an interrupted stream: points with index < Offset are
 	// assumed delivered and not re-sent. Point indices are a function of
 	// the grid alone, so a client can re-request only the missing tail.
@@ -94,12 +90,11 @@ type SweepSummary struct {
 
 // BudgetSweepResponse is the payload of a kind "budget" line: the eq. 6
 // winners across the requested budgets for one workload, with the search's
-// work accounting (zeroed in brute mode, which does not track pruning).
+// work accounting.
 type BudgetSweepResponse struct {
 	Workload string             `json:"workload"`
 	Points   []cost.BudgetPoint `json:"points"`
 	Stats    cost.SweepStats    `json:"stats"`
-	Brute    bool               `json:"brute,omitempty"`
 }
 
 // sweepBudgetsKey is the canonical cache-key form of a budget point.
@@ -107,7 +102,6 @@ type sweepBudgetsKey struct {
 	Workload WorkloadSpec `json:"workload"`
 	Budgets  []float64    `json:"budgets"`
 	Delta    float64      `json:"delta,omitempty"`
-	Brute    bool         `json:"brute,omitempty"`
 }
 
 // sweepJob is one point of an admitted grid.
@@ -146,31 +140,18 @@ func composePredictKey(cfgJSON, wlJSON, deltaJSON []byte) string {
 // budgetCompute is the kind "budget" computation: one optimization pass
 // answering every budget for one workload. An all-infeasible sweep is an
 // errInfeasible (422 on the line, code "infeasible").
-func (s *Server) budgetCompute(wspec WorkloadSpec, budgets []float64, delta float64, brute bool) func() (entry, error) {
+func (s *Server) budgetCompute(wspec WorkloadSpec, budgets []float64, delta float64) func() (entry, error) {
 	return func() (entry, error) {
 		wl, err := s.resolveSpec(wspec)
 		if err != nil {
 			return entry{}, err
 		}
 		opts := core.Options{CoherenceAdjust: delta}
-		resp := BudgetSweepResponse{Brute: brute}
-		if brute {
-			sw, err := cost.BudgetSweep(budgets, wl, cost.DefaultCatalog(), cost.DefaultSpace(), opts)
-			if err != nil {
-				return entry{}, fmt.Errorf("%w: %w", errInfeasible, err)
-			}
-			for _, p := range sw {
-				resp.Points = append(resp.Points, cost.BudgetPoint{Budget: p.Budget, Best: p.Best, Candidates: p.Feasible})
-			}
-		} else {
-			pts, stats, err := cost.OptimizeBudgets(budgets, wl, cost.DefaultCatalog(), cost.DefaultSpace(), opts)
-			if err != nil {
-				return entry{}, fmt.Errorf("%w: %w", errInfeasible, err)
-			}
-			resp.Points, resp.Stats = pts, stats
+		pts, stats, err := cost.OptimizeBudgets(budgets, wl, cost.DefaultCatalog(), cost.DefaultSpace(), opts)
+		if err != nil {
+			return entry{}, fmt.Errorf("%w: %w", errInfeasible, err)
 		}
-		resp.Workload = wl.Name
-		return render(resp)
+		return render(BudgetSweepResponse{Workload: wl.Name, Points: pts, Stats: stats})
 	}
 }
 
@@ -306,7 +287,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			key, err := canonicalKey("sweepbudgets", sweepBudgetsKey{
-				Workload: wls[wi].spec, Budgets: budgets, Delta: req.Delta, Brute: req.Brute})
+				Workload: wls[wi].spec, Budgets: budgets, Delta: req.Delta})
 			if err != nil {
 				s.fail(w, http.StatusInternalServerError, err)
 				return
@@ -314,7 +295,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			jobs = append(jobs, sweepJob{
 				index: idx, kind: "budget", workload: wls[wi].name,
 				key:     key,
-				compute: s.budgetCompute(wls[wi].spec, budgets, req.Delta, req.Brute),
+				compute: s.budgetCompute(wls[wi].spec, budgets, req.Delta),
 			})
 		}
 	}
@@ -481,8 +462,9 @@ recv:
 }
 
 // gridWorker evaluates points: each line goes through the result cache
-// under its canonical key (hits short-circuit, concurrent identical points
-// dedup). The compact buffer is reused across the worker's points, so
+// under its canonical key (Server.cached: hits short-circuit, concurrent
+// identical points dedup, peer-owned predict points forward in cluster
+// mode). The compact buffer is reused across the worker's points, so
 // steady-state allocation per point is one exact-size response copy.
 func (s *Server) gridWorker(ctx context.Context, endpoint, requestID string, forwarded bool, jobs <-chan sweepJob, results chan<- *SweepLine) {
 	var buf bytes.Buffer
@@ -496,29 +478,8 @@ func (s *Server) gridWorker(ctx context.Context, endpoint, requestID string, for
 			results <- line
 			continue
 		}
-		run := s.wrapCompute(endpoint, job.compute)
-		var note forwardNote
-		if s.forwarder != nil && !forwarded && job.kind == "predict" {
-			// Predict points share keys — and therefore ring placement —
-			// with single /v1/predict requests; budget points have no
-			// standalone endpoint to replay against and stay local.
-			run = s.forwardableCompute(ctx, "predict", job.key, requestID, run, &note)
-		}
-		ent, how, err := s.cache.do(ctx, job.key, run)
-		switch how {
-		case outcomeHit:
-			s.metrics.CacheHits.Add(1)
-			line.Cache = "hit"
-		case outcomeShared:
-			s.metrics.DedupWaits.Add(1)
-			line.Cache = "dedup"
-		default:
-			s.metrics.CacheMisses.Add(1)
-			line.Cache = "miss"
-			if note.via == "forward" && note.cache != "" {
-				line.Cache = note.cache
-			}
-		}
+		ent, verdict, _, err := s.cached(ctx, endpoint, job.key, requestID, forwarded, job.compute)
+		line.Cache = verdict
 		if err != nil {
 			s.errorLine(line, err, http.StatusInternalServerError)
 			results <- line

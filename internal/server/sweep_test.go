@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -168,47 +169,6 @@ func TestSweepMatchesPredict(t *testing.T) {
 	_, sum2 := readStream(t, again.Body.Bytes())
 	if sum2.CacheHits != total || sum2.CacheMisses != 0 {
 		t.Errorf("warm sweep hits=%d misses=%d, want %d/0", sum2.CacheHits, sum2.CacheMisses, total)
-	}
-}
-
-// TestSweepBruteBudgetsBitIdentical holds the pruned and brute-force
-// budget searches together through the API: same winners, byte for byte.
-func TestSweepBruteBudgetsBitIdentical(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	req := SweepRequest{
-		Workloads: []WorkloadSpec{{Name: "lu"}},
-		Budgets:   []float64{3000, 5000, 20000},
-	}
-	budgetLine := func(brute bool) BudgetSweepResponse {
-		r := req
-		r.Brute = brute
-		rec := post(t, s, "/v1/sweep", r)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
-		}
-		lines, _ := readStream(t, rec.Body.Bytes())
-		if len(lines) != 1 || lines[0].Kind != "budget" || lines[0].Error != nil {
-			t.Fatalf("lines = %+v", lines)
-		}
-		var resp BudgetSweepResponse
-		if err := json.Unmarshal(lines[0].Response, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	pruned, brute := budgetLine(false), budgetLine(true)
-	if !brute.Brute || pruned.Brute {
-		t.Fatalf("brute flag not echoed: pruned=%v brute=%v", pruned.Brute, brute.Brute)
-	}
-	if len(pruned.Points) != len(brute.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(pruned.Points), len(brute.Points))
-	}
-	for i := range pruned.Points {
-		if pruned.Points[i].Budget != brute.Points[i].Budget || !reflect.DeepEqual(pruned.Points[i].Best, brute.Points[i].Best) {
-			t.Errorf("budget %v: pruned winner %+v != brute winner %+v",
-				pruned.Points[i].Budget, pruned.Points[i].Best, brute.Points[i].Best)
-		}
 	}
 }
 
@@ -381,8 +341,14 @@ func TestSweepBadRequests(t *testing.T) {
 	if rec := post(t, s, "/v1/batch", BatchRequest{}); rec.Code != http.StatusBadRequest {
 		t.Errorf("empty batch: status = %d, want 400", rec.Code)
 	}
+	// The removed "brute" option is an unknown field like any other.
+	rec := postRaw(t, s, httptest.NewRequest(http.MethodPost, "/v1/sweep",
+		strings.NewReader(`{"workloads":[{"name":"lu"}],"budgets":[5000],"brute":true}`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("brute body: status = %d, want 400", rec.Code)
+	}
 	// GET is rejected like every API endpoint.
-	rec := postRaw(t, s, httptest.NewRequest(http.MethodGet, "/v1/sweep", nil))
+	rec = postRaw(t, s, httptest.NewRequest(http.MethodGet, "/v1/sweep", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET sweep status = %d, want 405", rec.Code)
 	}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — run the tracked benchmark families and record the results.
 #
-# Usage: scripts/bench.sh [-short] [output.json]
+# Usage: scripts/bench.sh [-short] output.json
 #
 # Runs the simulator-engine, stack-distance, prediction-service,
 # resilient-client, cluster-serving, sweep/budget-optimization,
@@ -11,21 +11,24 @@
 # -benchtime=1x -count=3 (best-of-3 per benchmark; the families that need
 # more iterations say so below) and writes a JSON array
 # of {name, ns_op, allocs_op}. The output path comes from the argument,
-# else $BENCH_OUT, else BENCH_PR8.json — it is never hardcoded to one PR's
-# artifact, so each PR records its own snapshot without editing this
-# script. -short drops to -count=1: the CI smoke mode that only proves the
-# benchmarks still compile and run.
+# else $BENCH_OUT; there is no default, so a run never overwrites a
+# tracked BENCH_*.json snapshot by accident. -short drops to -count=1: the
+# CI smoke mode that only proves the benchmarks still compile and run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count=3
-out=${BENCH_OUT:-BENCH_PR8.json}
+out=${BENCH_OUT:-}
 for arg in "$@"; do
   case "$arg" in
     -short) count=1 ;;
     *) out=$arg ;;
   esac
 done
+if [ -z "$out" ]; then
+  echo "usage: scripts/bench.sh [-short] output.json (or set BENCH_OUT)" >&2
+  exit 2
+fi
 
 pattern='^(BenchmarkSimulate|BenchmarkRun|BenchmarkStreamRun|BenchmarkAccessCacheHit|BenchmarkTouch|BenchmarkServe|BenchmarkClient|BenchmarkCluster|BenchmarkOptimizeBudgets|BenchmarkBudgetSweepBrute)'
 raw=$(mktemp)
