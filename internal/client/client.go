@@ -4,12 +4,11 @@
 // shedding responses, and a consecutive-failure circuit breaker that
 // fails fast while the service is down instead of piling retries onto it.
 //
-// A client can front a whole cluster instead of one node: NewMulti (or
-// Peers on an existing client) installs a set of entry base URLs that
-// calls round-robin over, and a transport-level failure fails over to
-// the next entry node on the very next attempt — under the same retry
-// budget and carrying the same X-Request-ID, so a failed-over call is
-// still one call to the cluster.
+// A client can front a whole cluster instead of one node: NewMulti
+// installs a set of entry base URLs that calls round-robin over, and a
+// transport-level failure fails over to the next entry node on the very
+// next attempt — under the same retry budget and carrying the same
+// X-Request-ID, so a failed-over call is still one call to the cluster.
 //
 // Defaults (all overridable via Options): 3 retries (4 attempts total),
 // backoff base 50ms doubling per attempt with full jitter, capped at 2s;
@@ -169,9 +168,10 @@ type Meta struct {
 type Client struct {
 	opts Options
 
-	mu    sync.Mutex
-	rng   *rand.Rand // guarded by mu
-	bases []string   // guarded by mu; entry base URLs, round-robined
+	bases []string // entry base URLs, round-robined; immutable after NewMulti
+
+	mu  sync.Mutex
+	rng *rand.Rand // guarded by mu
 
 	cursor  atomic.Uint64 // round-robin position over bases
 	breaker breaker
@@ -194,44 +194,25 @@ func NewMulti(baseURLs []string, opts Options) *Client {
 		panic("client: NewMulti with no base URLs")
 	}
 	opts = opts.withDefaults()
-	c := &Client{
-		opts: opts,
-		rng:  rand.New(rand.NewSource(opts.Seed)),
+	bases := make([]string, len(baseURLs))
+	for i, u := range baseURLs {
+		bases[i] = strings.TrimRight(u, "/")
+	}
+	return &Client{
+		opts:  opts,
+		bases: bases,
+		rng:   rand.New(rand.NewSource(opts.Seed)),
 		breaker: breaker{
 			threshold: opts.FailureThreshold,
 			openFor:   opts.OpenFor,
 		},
 	}
-	c.setBases(baseURLs)
-	return c
-}
-
-// Peers replaces the client's entry-node set (e.g. after cluster
-// membership changed). In-flight calls finish against the bases they
-// started with; new calls round-robin over the new set.
-func (c *Client) Peers(baseURLs []string) {
-	if len(baseURLs) == 0 {
-		panic("client: Peers with no base URLs")
-	}
-	c.setBases(baseURLs)
-}
-
-func (c *Client) setBases(baseURLs []string) {
-	bases := make([]string, len(baseURLs))
-	for i, u := range baseURLs {
-		bases[i] = strings.TrimRight(u, "/")
-	}
-	c.mu.Lock()
-	c.bases = bases
-	c.mu.Unlock()
 }
 
 // pickBase resolves the base URL of one wire attempt: calls start at the
 // next round-robin position, and every transport-level failover advances
 // one more position.
 func (c *Client) pickBase(start uint64, failovers int) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.bases[(start+uint64(failovers))%uint64(len(c.bases))]
 }
 

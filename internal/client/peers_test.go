@@ -108,26 +108,6 @@ func TestRoundRobinSpreadsCalls(t *testing.T) {
 	}
 }
 
-// TestPeersSwapRetargets: Peers() replaces the entry set for new calls.
-func TestPeersSwapRetargets(t *testing.T) {
-	a, b := &okHandler{}, &okHandler{}
-	tsA, tsB := httptest.NewServer(a), httptest.NewServer(b)
-	defer tsA.Close()
-	defer tsB.Close()
-
-	c := New(tsA.URL, Options{MaxRetries: 0})
-	if _, err := c.Post(context.Background(), "/x", map[string]any{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	c.Peers([]string{tsB.URL})
-	if _, err := c.Post(context.Background(), "/x", map[string]any{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.seen()) != 1 || len(b.seen()) != 1 {
-		t.Fatalf("calls split A=%d B=%d, want 1 and 1", len(a.seen()), len(b.seen()))
-	}
-}
-
 // TestDrainingNotRetried: a 429 whose code is "draining" is a deliberate
 // answer from a node that is going away — the client returns it
 // immediately instead of burning its retry budget against the drain.

@@ -78,6 +78,7 @@ type Cluster struct {
 	mu      sync.Mutex
 	healthy map[string]bool   // guarded by mu; last probe verdict per peer
 	lastErr map[string]string // guarded by mu; last probe failure per peer
+	failed  map[string]uint64 // guarded by mu; failed probes per peer, never reset
 	probes  uint64            // guarded by mu; completed probe rounds
 
 	stop chan struct{}
@@ -131,6 +132,7 @@ func New(cfg Config) (*Cluster, error) {
 		probeTimeout: cfg.ProbeTimeout,
 		healthy:      make(map[string]bool, len(names)-1),
 		lastErr:      make(map[string]string, len(names)-1),
+		failed:       make(map[string]uint64, len(names)-1),
 		stop:         make(chan struct{}),
 	}
 	opts := cfg.ClientOptions
@@ -207,6 +209,7 @@ func (c *Cluster) Probe(ctx context.Context) {
 			c.healthy[name] = err == nil
 			if err != nil {
 				c.lastErr[name] = err.Error()
+				c.failed[name]++
 			} else {
 				delete(c.lastErr, name)
 			}
@@ -283,7 +286,10 @@ func (c *Cluster) Forward(ctx context.Context, peer, path, requestID string, bod
 }
 
 // Stats reports the node's cluster view for /metrics: ring ownership,
-// per-peer health and breaker state, and probe progress.
+// per-peer health and breaker state, and probe progress. A peer's
+// failed_probes counts every failed probe since New: unlike healthy and
+// last_error, a later good probe does not clear it, so a peer that was
+// down for one round stays visible.
 func (c *Cluster) Stats() map[string]any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -291,6 +297,7 @@ func (c *Cluster) Stats() map[string]any {
 	for name, cl := range c.clients {
 		p := map[string]any{
 			"healthy":            c.healthy[name],
+			"failed_probes":      c.failed[name],
 			"breaker_open":       cl.BreakerOpen(),
 			"ownership_fraction": c.ring.OwnershipFraction(name),
 		}

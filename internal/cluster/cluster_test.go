@@ -398,6 +398,29 @@ func TestStatsShape(t *testing.T) {
 	}
 }
 
+// TestFailedProbesSurviveRecovery: a peer whose /readyz answers 503
+// once and then 200 reads healthy again after the second probe, but its
+// failed_probes count still shows the round it was down.
+func TestFailedProbesSurviveRecovery(t *testing.T) {
+	var readyz atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if readyz.Add(1) == 1 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+	}))
+	defer ts.Close()
+	c, err := New(Config{Self: "a", Peers: map[string]string{"a": "http://unused.invalid", "b": ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Probe(context.Background())
+	c.Probe(context.Background())
+	view := c.Stats()["peers"].(map[string]any)["b"].(map[string]any)
+	if view["healthy"] != true || view["failed_probes"] != uint64(1) {
+		t.Fatalf("peer view after 503 then 200 = %v, want healthy=true failed_probes=1", view)
+	}
+}
+
 // TestNewRejectsBadMembership: config validation.
 func TestNewRejectsBadMembership(t *testing.T) {
 	if _, err := New(Config{Self: "a", Peers: map[string]string{"b": "http://x"}}); err == nil {
