@@ -9,6 +9,8 @@
 // transport-level failure fails over to the next entry node on the very
 // next attempt — under the same retry budget and carrying the same
 // X-Request-ID, so a failed-over call is still one call to the cluster.
+// A node whose attempt failed at the transport level starts no call for
+// the breaker's OpenFor, unless every node is in that state.
 //
 // Defaults (all overridable via Options): 3 retries (4 attempts total),
 // backoff base 50ms doubling per attempt with full jitter, capped at 2s;
@@ -55,7 +57,9 @@ type Options struct {
 	// opens the circuit breaker (default 5; negative disables the breaker).
 	FailureThreshold int
 	// OpenFor is how long an open breaker rejects calls before letting a
-	// probe through (default 2s).
+	// probe through (default 2s). On a multi-base client it is also how
+	// long a base whose attempt failed at the transport level starts no
+	// call.
 	OpenFor time.Duration
 	// HTTPClient overrides the transport (the chaos harness injects an
 	// in-process one). The default is a dedicated client whose transport
@@ -173,9 +177,13 @@ type Client struct {
 	mu  sync.Mutex
 	rng *rand.Rand // guarded by mu
 
-	cursor  atomic.Uint64 // round-robin position over bases
-	breaker breaker
-	ids     atomic.Uint64
+	cursor atomic.Uint64 // round-robin position over bases
+	// downUntil[i] is when bases[i] may start calls again (UnixNano; 0 =
+	// now): a transport-level failure there sets it OpenFor ahead, any
+	// answer from it clears it.
+	downUntil []atomic.Int64
+	breaker   breaker
+	ids       atomic.Uint64
 }
 
 // New builds a Client for the service at baseURL (e.g.
@@ -185,7 +193,8 @@ func New(baseURL string, opts Options) *Client {
 }
 
 // NewMulti builds a Client that spreads calls over several entry nodes:
-// each call starts at the next base URL in round-robin order, and a
+// each call starts at the next base URL in round-robin order (skipping
+// bases that just failed at the transport level; see startBase), and a
 // transport-level failure fails over to the next one for the retry. An
 // empty list panics — a client with nowhere to send requests is a
 // programming error, not a runtime condition.
@@ -199,9 +208,10 @@ func NewMulti(baseURLs []string, opts Options) *Client {
 		bases[i] = strings.TrimRight(u, "/")
 	}
 	return &Client{
-		opts:  opts,
-		bases: bases,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
+		opts:      opts,
+		bases:     bases,
+		downUntil: make([]atomic.Int64, len(bases)),
+		rng:       rand.New(rand.NewSource(opts.Seed)),
 		breaker: breaker{
 			threshold: opts.FailureThreshold,
 			openFor:   opts.OpenFor,
@@ -209,11 +219,43 @@ func NewMulti(baseURLs []string, opts Options) *Client {
 	}
 }
 
-// pickBase resolves the base URL of one wire attempt: calls start at the
-// next round-robin position, and every transport-level failover advances
-// one more position.
-func (c *Client) pickBase(start uint64, failovers int) string {
-	return c.bases[(start+uint64(failovers))%uint64(len(c.bases))]
+// startBase picks the round-robin position a call starts at: the next one,
+// skipping bases whose last attempt failed at the transport level within
+// the breaker's OpenFor — unless every base is in that state. So a dead
+// entry node costs one failed attempt per OpenFor, not the first attempt
+// of every Nth call.
+func (c *Client) startBase() uint64 {
+	start := c.cursor.Add(1) - 1
+	if len(c.bases) == 1 {
+		return start
+	}
+	now := time.Now().UnixNano()
+	for k := uint64(0); k < uint64(len(c.bases)); k++ {
+		if c.downUntil[(start+k)%uint64(len(c.bases))].Load() <= now {
+			return start + k
+		}
+	}
+	return start
+}
+
+// pickBase resolves the index of one wire attempt's base URL: calls start
+// at startBase, and every transport-level failover advances one more
+// position.
+func (c *Client) pickBase(start uint64, failovers int) int {
+	return int((start + uint64(failovers)) % uint64(len(c.bases)))
+}
+
+// markBase records how an attempt at base i ended: a transport-level
+// failure keeps calls from starting there for OpenFor; any answer clears
+// that.
+func (c *Client) markBase(i int, transportErr bool) {
+	var until int64
+	if transportErr {
+		until = time.Now().Add(c.opts.OpenFor).UnixNano()
+	}
+	if c.downUntil[i].Load() != until {
+		c.downUntil[i].Store(until)
+	}
 }
 
 // ---- typed endpoint calls ----
@@ -257,7 +299,7 @@ func (c *Client) Validate(ctx context.Context, req server.ValidateRequest) (serv
 // Ready reports whether the service answers /readyz with 200 (the next
 // round-robin entry node, on a multi-base client).
 func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.pickBase(c.cursor.Add(1)-1, 0)+"/readyz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.bases[c.pickBase(c.startBase(), 0)]+"/readyz", nil)
 	if err != nil {
 		return err
 	}
@@ -298,7 +340,7 @@ func (c *Client) Call(ctx context.Context, path, requestID string, in, out any) 
 	}
 	id := requestID
 	meta := Meta{RequestID: id}
-	start := c.cursor.Add(1) - 1
+	start := c.startBase()
 	failovers := 0
 
 	var lastErr error
@@ -310,9 +352,13 @@ func (c *Client) Call(ctx context.Context, path, requestID string, in, out any) 
 			return meta, err
 		}
 		meta.Attempts++
-		status, header, respBody, err := c.roundTrip(ctx, c.pickBase(start, failovers), path, id, body)
+		base := c.pickBase(start, failovers)
+		status, header, respBody, err := c.roundTrip(ctx, c.bases[base], path, id, body)
 		if ob := c.opts.Observer; ob != nil {
 			ob(Attempt{Path: path, RequestID: id, Status: status, Header: header, Body: respBody, Err: err})
+		}
+		if err == nil {
+			c.markBase(base, false)
 		}
 
 		switch {
@@ -324,6 +370,7 @@ func (c *Client) Call(ctx context.Context, path, requestID string, in, out any) 
 			if ctx.Err() != nil {
 				return meta, fmt.Errorf("client: %s: %w", path, ctx.Err())
 			}
+			c.markBase(base, true)
 			failovers++
 			c.breaker.failure()
 			lastErr = fmt.Errorf("client: %s: %w", path, err)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"memhier/internal/server"
 )
@@ -105,6 +106,41 @@ func TestRoundRobinSpreadsCalls(t *testing.T) {
 	}
 	if got := len(b.seen()); got != 3 {
 		t.Errorf("node B served %d calls, want 3 of 6", got)
+	}
+}
+
+// TestDeadBaseSkipped: a dead entry node gets the first attempt of a call
+// only until its transport failure is recorded; for the breaker's OpenFor
+// after that, calls start at the live nodes. Without the skip it takes the
+// first attempt of every third call.
+func TestDeadBaseSkipped(t *testing.T) {
+	a, b := &okHandler{}, &okHandler{}
+	tsA, tsB := httptest.NewServer(a), httptest.NewServer(b)
+	defer tsA.Close()
+	defer tsB.Close()
+
+	var mu sync.Mutex
+	dead := 0
+	c := NewMulti([]string{tsA.URL, deadBaseURL(t), tsB.URL}, Options{
+		MaxRetries: 3, BaseBackoff: 1, MaxBackoff: 1, OpenFor: time.Minute,
+		Observer: func(at Attempt) {
+			if at.Err != nil {
+				mu.Lock()
+				dead++
+				mu.Unlock()
+			}
+		},
+	})
+	for i := 0; i < 30; i++ {
+		if _, err := c.Post(context.Background(), "/x", map[string]any{}, nil); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if dead > 2 {
+		t.Errorf("%d attempts reached the dead base in 30 calls, want at most 2", dead)
+	}
+	if got := len(a.seen()) + len(b.seen()); got != 30 {
+		t.Errorf("live nodes served %d calls, want 30", got)
 	}
 }
 

@@ -77,7 +77,7 @@ func (c *Client) stream(ctx context.Context, path string, offset int, build func
 	res := StreamResult{RequestID: id}
 	next := offset
 	retriesLeft := c.opts.MaxRetries
-	start := c.cursor.Add(1) - 1
+	start := c.startBase()
 	failovers := 0
 	var lastErr error
 
@@ -94,15 +94,18 @@ func (c *Client) stream(ctx context.Context, path string, offset int, build func
 		}
 		res.Attempts++
 		before := next
-		done, err := c.streamSegment(ctx, c.pickBase(start, failovers), path, id, body, &res, &next, fn)
+		base := c.pickBase(start, failovers)
+		done, err := c.streamSegment(ctx, c.bases[base], path, id, body, &res, &next, fn)
 		switch {
 		case done:
+			c.markBase(base, false)
 			c.breaker.success()
 			return res, nil
 		case err == nil:
 			// Well-formed but incomplete: the server's deadline cut the
 			// stream and said so in the trailer. That is contract-following
 			// behavior, not a failure — resume the tail.
+			c.markBase(base, false)
 			c.breaker.success()
 		case ctx.Err() != nil:
 			// The caller's deadline, not the server's health.
@@ -122,6 +125,7 @@ func (c *Client) stream(ctx context.Context, path string, offset int, build func
 			if apiErr == nil {
 				// Transport-level failure: the resumed tail goes to the
 				// next entry node (a no-op with a single base).
+				c.markBase(base, true)
 				failovers++
 			}
 			c.breaker.failure()

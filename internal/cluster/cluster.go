@@ -246,24 +246,27 @@ func (c *Cluster) probeOne(ctx context.Context, name string) error {
 // Self returns this node's name.
 func (c *Cluster) Self() string { return c.self }
 
-// Place returns the usable owners of key, primary first, and whether
-// this node is one of the key's owners. Peers that are probed-down or
-// whose breaker is open are skipped — the caller's fallback ladder
-// (remaining owners, then local compute) handles the rest.
-func (c *Cluster) Place(key string) ([]string, bool) {
+// Place returns key's ring owner, its usable owners, primary first, and
+// whether this node is one of the key's owners. Peers that are
+// probed-down or whose breaker is open are skipped — the caller's
+// fallback ladder (remaining owners, then local compute) handles the
+// rest — but the ring owner is reported either way, so a fallback can
+// name the peer it skipped.
+func (c *Cluster) Place(key string) (string, []string, bool) {
 	owners := c.ring.Owners(key, c.replicas)
+	owner := owners[0]
 	usable := owners[:0]
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, name := range owners {
 		if name == c.self {
-			return nil, true
+			return owner, nil, true
 		}
 		if c.healthy[name] && !c.clients[name].BreakerOpen() {
 			usable = append(usable, name)
 		}
 	}
-	return usable, false
+	return owner, usable, false
 }
 
 // Forward replays a canonical request body against peer's path with the

@@ -61,12 +61,13 @@ const (
 type PeerForwarder interface {
 	// Self returns this node's name.
 	Self() string
-	// Place returns the nodes that may own key — the ring owner first,
-	// then its replicas, skipping peers currently considered unusable
-	// (unhealthy, draining, circuit open) — and whether this node is
-	// among the key's owners. An empty owners list with local=false
-	// means every owner is unusable: the caller computes locally.
-	Place(key string) (owners []string, local bool)
+	// Place returns key's ring owner (whether or not it is usable), the
+	// nodes that may answer for it — the ring owner first, then its
+	// replicas, skipping peers currently considered unusable (unhealthy,
+	// draining, circuit open) — and whether this node is among the key's
+	// owners. An empty usable list with local=false means every owner is
+	// unusable: the caller computes locally.
+	Place(key string) (owner string, usable []string, local bool)
 	// Forward replays the canonical request body against peer's path,
 	// carrying requestID as X-Request-ID and this node's name as the hop
 	// marker. It returns an error for anything but a 2xx answer.
@@ -85,22 +86,6 @@ type ForwardResult struct {
 	Body  []byte
 }
 
-// forwardPaths maps cache-backed endpoints to the API path a forwarded
-// canonical body replays against. Every key of the result cache is
-// "endpoint\x00canonicalJSON", and for these endpoints the canonical
-// JSON is itself a valid request that resolves back to the same key —
-// so the forwarder needs no separate serialization of the request. A
-// grid's predict points carry predict keys and forward like single
-// requests; its budget points ("sweepbudgets") have no standalone
-// endpoint to replay against and stay local.
-var forwardPaths = map[string]string{
-	"predict":  "/v1/predict",
-	"optimize": "/v1/optimize",
-	"advise":   "/v1/advise",
-	"fit":      "/v1/fit",
-	"validate": "/v1/validate",
-}
-
 // forwardNote records, out of band of the cache protocol, how a leader's
 // computation was actually answered; the handler turns it into the
 // X-Cluster-* response headers and the relayed X-Cache value.
@@ -111,36 +96,43 @@ type forwardNote struct {
 }
 
 // forwardTarget splits a cache key into the API path its canonical body
-// replays against and that body; ok is false for keys of endpoints that
-// cannot be forwarded.
-func forwardTarget(key string) (path, body string, ok bool) {
+// replays against and that body. Every key of the result cache is
+// "endpoint\x00canonicalJSON", and for the route table's cached routes
+// the canonical JSON is itself a valid request that resolves back to the
+// same key — so the forwarder needs no separate serialization of the
+// request. ok is false for other keys: a grid's budget points
+// ("sweepbudgets") have no standalone route to replay against and stay
+// local, while its predict points carry predict keys and forward like
+// single requests.
+func (s *Server) forwardTarget(key string) (path, body string, ok bool) {
 	endpoint, body, found := strings.Cut(key, "\x00")
 	if !found {
 		return "", "", false
 	}
-	path, ok = forwardPaths[endpoint]
+	path, ok = s.forwardPaths[endpoint]
 	return path, body, ok
 }
 
 // forwardToOwner applies the cluster placement rules above to a flight
 // leader's key. ok reports an answer relayed from one of the key's
 // owners; otherwise the leader computes locally, and note says whether
-// it owns the key ("local") or its owners were unusable ("fallback").
-// Keys outside forwardPaths always compute locally.
+// it owns the key ("local") or its owners were unusable ("fallback"). A
+// fallback names the key's ring owner even when Place dropped it as
+// unusable. Keys of uncached routes always compute locally.
 //
 //chc:hotpath
 func (s *Server) forwardToOwner(ctx context.Context, key, requestID string, note *forwardNote) (entry, bool) {
-	path, body, ok := forwardTarget(key)
+	path, body, ok := s.forwardTarget(key)
 	if !ok {
 		return entry{}, false
 	}
-	owners, local := s.forwarder.Place(key)
+	owner, usable, local := s.forwarder.Place(key)
 	if local {
 		note.via = "local"
 		return entry{}, false
 	}
 	payload := []byte(body)
-	for _, peer := range owners {
+	for _, peer := range usable {
 		res, err := s.forwarder.Forward(ctx, peer, path, requestID, payload)
 		if err != nil {
 			// Unreachable, circuit-open, draining, or a non-2xx answer:
@@ -156,9 +148,6 @@ func (s *Server) forwardToOwner(ctx context.Context, key, requestID string, note
 		return entry{status: res.Status, body: res.Body}, true
 	}
 	s.metrics.LocalFallbacks.Add(1)
-	note.via = "fallback"
-	if len(owners) > 0 {
-		note.owner = owners[0]
-	}
+	note.via, note.owner = "fallback", owner
 	return entry{}, false
 }

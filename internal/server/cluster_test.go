@@ -13,9 +13,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
+	"memhier/internal/locality"
 	"memhier/internal/machine"
 	"memhier/internal/sim/backend"
 )
@@ -23,7 +25,7 @@ import (
 // stubForwarder scripts placement and forwarding.
 type stubForwarder struct {
 	self    string
-	place   func(key string) ([]string, bool)
+	place   func(key string) (string, []string, bool)
 	forward func(ctx context.Context, peer, path, requestID string, body []byte) (ForwardResult, error)
 
 	mu       sync.Mutex
@@ -33,7 +35,7 @@ type stubForwarder struct {
 
 func (f *stubForwarder) Self() string { return f.self }
 
-func (f *stubForwarder) Place(key string) ([]string, bool) {
+func (f *stubForwarder) Place(key string) (string, []string, bool) {
 	f.mu.Lock()
 	f.placed++
 	f.mu.Unlock()
@@ -81,7 +83,7 @@ func TestForwardMissRelaysOwnerBytes(t *testing.T) {
 	defer owner.Close()
 	fwd := &stubForwarder{
 		self:  "entry",
-		place: func(string) ([]string, bool) { return []string{"owner"}, false },
+		place: func(string) (string, []string, bool) { return "owner", []string{"owner"}, false },
 	}
 	fwd.forward = func(ctx context.Context, peer, path, requestID string, body []byte) (ForwardResult, error) {
 		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
@@ -145,7 +147,7 @@ func TestSweepForwardsPeerOwnedPoints(t *testing.T) {
 	}
 	fwd := &stubForwarder{
 		self:  "entry",
-		place: func(string) ([]string, bool) { return []string{"owner"}, false },
+		place: func(string) (string, []string, bool) { return "owner", []string{"owner"}, false },
 	}
 	fwd.forward = func(ctx context.Context, peer, path, requestID string, body []byte) (ForwardResult, error) {
 		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
@@ -199,7 +201,7 @@ func TestSweepForwardsPeerOwnedPoints(t *testing.T) {
 func TestForwardFailureFallsBackLocal(t *testing.T) {
 	fwd := &stubForwarder{
 		self:  "entry",
-		place: func(string) ([]string, bool) { return []string{"dead1", "dead2"}, false },
+		place: func(string) (string, []string, bool) { return "dead1", []string{"dead1", "dead2"}, false },
 		forward: func(context.Context, string, string, string, []byte) (ForwardResult, error) {
 			return ForwardResult{}, errors.New("connection refused")
 		},
@@ -225,13 +227,49 @@ func TestForwardFailureFallsBackLocal(t *testing.T) {
 	}
 }
 
+// TestFallbackNamesDroppedOwner: when Place has already dropped every
+// owner as unusable, the fallback answer still names the key's ring owner
+// in X-Cluster-Owner. No forward was attempted, so forward_fails stays 0
+// and local_fallbacks counts the one local computation.
+func TestFallbackNamesDroppedOwner(t *testing.T) {
+	fwd := &stubForwarder{
+		self:  "entry",
+		place: func(string) (string, []string, bool) { return "down-peer", nil, false },
+		forward: func(context.Context, string, string, string, []byte) (ForwardResult, error) {
+			return ForwardResult{}, errors.New("must not be called")
+		},
+	}
+	s := New(Config{Forwarder: fwd})
+	defer s.Close()
+
+	rec := post(t, s, "/v1/predict", predictReq)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get(ClusterViaHeader); got != "fallback" {
+		t.Errorf("%s = %q, want %q", ClusterViaHeader, got, "fallback")
+	}
+	if got := rec.Header().Get(ClusterOwnerHeader); got != "down-peer" {
+		t.Errorf("%s = %q, want the dropped ring owner %q", ClusterOwnerHeader, got, "down-peer")
+	}
+	if n := fwd.forwardCount(); n != 0 {
+		t.Errorf("forward attempts = %d, want 0", n)
+	}
+	if got := s.metrics.LocalFallbacks.Value(); got != 1 {
+		t.Errorf("local_fallbacks = %d, want 1", got)
+	}
+	if got := s.metrics.ForwardFails.Value(); got != 0 {
+		t.Errorf("forward_fails = %d, want 0", got)
+	}
+}
+
 // TestForwardedRequestComputesLocally: a request that already took its
 // one forwarding hop never consults the ring again, whatever the ring
 // would say — the hop budget is what makes ring-view disagreement safe.
 func TestForwardedRequestComputesLocally(t *testing.T) {
 	fwd := &stubForwarder{
 		self:  "owner",
-		place: func(string) ([]string, bool) { return []string{"elsewhere"}, false },
+		place: func(string) (string, []string, bool) { return "elsewhere", []string{"elsewhere"}, false },
 		forward: func(context.Context, string, string, string, []byte) (ForwardResult, error) {
 			return ForwardResult{}, errors.New("must not be called")
 		},
@@ -259,7 +297,7 @@ func TestForwardedRequestComputesLocally(t *testing.T) {
 func TestForwardedDrainingRejected(t *testing.T) {
 	fwd := &stubForwarder{
 		self:  "owner",
-		place: func(string) ([]string, bool) { return nil, true },
+		place: func(string) (string, []string, bool) { return "owner", nil, true },
 	}
 	s := New(Config{Forwarder: fwd})
 	defer s.Close()
@@ -285,7 +323,7 @@ func TestForwardedDrainingRejected(t *testing.T) {
 func TestServeCachedHitIsSynchronous(t *testing.T) {
 	fwd := &stubForwarder{
 		self:  "owner",
-		place: func(string) ([]string, bool) { return nil, true },
+		place: func(string) (string, []string, bool) { return "owner", nil, true },
 	}
 	s := New(Config{Forwarder: fwd})
 	defer s.Close()
@@ -332,7 +370,7 @@ func TestMetricsClusterSection(t *testing.T) {
 
 	fwd := &stubForwarder{
 		self:  "entry",
-		place: func(string) ([]string, bool) { return []string{"peer-b"}, false },
+		place: func(string) (string, []string, bool) { return "peer-b", []string{"peer-b"}, false },
 		forward: func(context.Context, string, string, string, []byte) (ForwardResult, error) {
 			return ForwardResult{Status: http.StatusOK, Cache: "miss", Body: []byte("{}\n")}, nil
 		},
@@ -380,4 +418,87 @@ func TestValidateCanonicalReplayIdempotent(t *testing.T) {
 	if len(simulated) != 1 || simulated[0] != "C4/16" {
 		t.Errorf("simulated platforms %v, want exactly one run of the scaled C4/16", simulated)
 	}
+}
+
+// TestCanonicalReplayEveryCachedRoute pins the forwarding invariant of
+// every cache-backed route in the route table: the canonical body a cache
+// key carries — what a cluster node replays at the key's owner — resolves
+// back to the same key. Each route gets a non-canonical spelling (aliases,
+// reordered fields, an omitted optimize top, divisor-N configs, fit
+// weights); replaying its key's body against the route's path must be a
+// hit with the same bytes and no second computation.
+func TestCanonicalReplayEveryCachedRoute(t *testing.T) {
+	truth := locality.Params{Alpha: 1.8, Beta: 700}
+	xs := []float64{0, 250, 1000, 4000, 16000, 64000}
+	ps := make([]float64, len(xs))
+	for i, x := range xs {
+		ps[i] = truth.CDF(x)
+	}
+	// A map marshals its keys sorted: gamma, ps, weights, xs — not the
+	// request's field order.
+	fit, err := json.Marshal(map[string]any{"gamma": 0.3, "ps": ps, "weights": []float64{1, 2, 3, 3, 2, 1}, "xs": xs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]struct{ path, body string }{
+		"predict":  {"/v1/predict", `{"workload":{"name":"FFT"},"config":{"name":"c4","divisor":16}}`},
+		"optimize": {"/v1/optimize", `{"workload":{"name":"Radix"},"budget":5000}`},
+		"advise":   {"/v1/advise", `{"workload":{"name":"lu"},"budget":1000,"config":{"name":"c8","divisor":4}}`},
+		"fit":      {"/v1/fit", string(fit)},
+		"validate": {"/v1/validate", `{"workload":"FFT","config":{"name":"c4"},"divisor":8}`},
+	}
+
+	routes := New(Config{})
+	routes.Close()
+	if len(routes.forwardPaths) != len(cases) {
+		t.Errorf("%d cached routes %v, %d replay cases", len(routes.forwardPaths), routes.forwardPaths, len(cases))
+	}
+	for name, path := range routes.forwardPaths {
+		tc, ok := cases[name]
+		if !ok || tc.path != path {
+			t.Errorf("cached route %s (%s) has no replay case", name, path)
+			continue
+		}
+		s := New(Config{})
+		s.simulate = func(machine.Config, string) (backend.RunResult, error) { return backend.RunResult{}, nil }
+		first := postRaw(t, s, httptest.NewRequest(http.MethodPost, path, strings.NewReader(tc.body)))
+		if first.Code != http.StatusOK || first.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("%s: status %d, X-Cache %q, body %s", name, first.Code, first.Header().Get("X-Cache"), first.Body)
+		}
+		keys := cacheKeys(s)
+		if len(keys) != 1 {
+			t.Fatalf("%s: %d cache keys after one request", name, len(keys))
+		}
+		replayPath, body, ok := s.forwardTarget(keys[0])
+		if !ok || replayPath != path {
+			t.Fatalf("%s: key %q forwards to %q (ok %v), want %s", name, keys[0], replayPath, ok, path)
+		}
+		if body == tc.body {
+			t.Errorf("%s: the spelling %s is already canonical", name, body)
+		}
+		replay := postRaw(t, s, httptest.NewRequest(http.MethodPost, replayPath, strings.NewReader(body)))
+		if replay.Code != http.StatusOK || replay.Header().Get("X-Cache") != "hit" {
+			t.Errorf("%s: replay of %s: status %d, X-Cache %q, want a hit", name, body, replay.Code, replay.Header().Get("X-Cache"))
+		}
+		if !bytes.Equal(replay.Body.Bytes(), first.Body.Bytes()) {
+			t.Errorf("%s: replay answered different bytes", name)
+		}
+		if got := s.metrics.CacheMisses.Value(); got != 1 {
+			t.Errorf("%s: %d computations, want 1", name, got)
+		}
+		s.Close()
+	}
+}
+
+// cacheKeys lists the keys of the result cache.
+func cacheKeys(s *Server) []string {
+	var keys []string
+	for _, sh := range s.cache.shards {
+		sh.mu.Lock()
+		for k := range sh.items {
+			keys = append(keys, k)
+		}
+		sh.mu.Unlock()
+	}
+	return keys
 }

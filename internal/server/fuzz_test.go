@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -19,13 +19,16 @@ var fuzzRing = func() *ring.Ring {
 }()
 
 // FuzzCanonicalKey exercises the request-canonicalization pipeline that
-// derives cache keys — the exact path handlePredict runs before touching
-// the cache. Properties, on arbitrary request fields:
+// derives cache keys — preparePredict and canonicalKey, the exact path
+// /v1/predict runs (and batch and sweep points share) before touching the
+// cache. Properties, on arbitrary request fields:
 //
 //   - no panic, whatever the spelling
-//   - determinism: canonicalizing twice yields the identical key
-//   - idempotence: a canonicalized spec canonicalizes to itself, so
-//     alias spellings and their canonical forms share one cache entry
+//   - determinism: preparing twice yields the identical key
+//   - idempotence: a canonicalized spec canonicalizes to itself, and the
+//     canonical request — the body a cluster node replays at the key's
+//     owner — prepares back to the same key, so alias spellings and their
+//     canonical forms share one cache entry and one ring owner
 //   - keys embed their endpoint: the same request canonicalized for two
 //     endpoints never collides
 func FuzzCanonicalKey(f *testing.F) {
@@ -39,44 +42,53 @@ func FuzzCanonicalKey(f *testing.F) {
 	f.Add("", "", "", 0, 0, int64(0), int64(0), 0, "fft", false, 0.0)
 	f.Add("C99", "bogus", "9000", -1, -1, int64(-5), int64(-5), -3, "no-such-kernel", true, 1e308)
 
+	s := New(Config{})
+	f.Cleanup(s.Close)
+	prepare := func(t *testing.T, req PredictRequest) (PredictRequest, string, bool) {
+		canonical, _, err := s.preparePredict(&req)
+		if err != nil {
+			return PredictRequest{}, "", false // rejected before keying (a 400)
+		}
+		key, err := canonicalKey(predictRoute, canonical)
+		if err != nil {
+			if math.IsNaN(req.Delta) || math.IsInf(req.Delta, 0) {
+				return PredictRequest{}, "", false // no JSON body carries it
+			}
+			t.Fatalf("canonicalKey failed on prepared request %+v: %v", canonical, err)
+		}
+		return canonical.(PredictRequest), key, true
+	}
+
 	f.Fuzz(func(t *testing.T, name, kind, net string, machines, procs int,
 		cacheBytes, memoryBytes int64, divisor int, workload string, measured bool, delta float64) {
 
-		spec := ConfigSpec{
-			Name: name, Kind: kind, Net: net,
-			Machines: machines, Procs: procs,
-			CacheBytes: cacheBytes, MemoryBytes: memoryBytes,
-			Divisor: divisor,
+		req := PredictRequest{
+			Config: ConfigSpec{
+				Name: name, Kind: kind, Net: net,
+				Machines: machines, Procs: procs,
+				CacheBytes: cacheBytes, MemoryBytes: memoryBytes,
+				Divisor: divisor,
+			},
+			Workload: WorkloadSpec{Name: workload, Measured: measured},
+			Delta:    delta,
 		}
-		wspec := WorkloadSpec{Name: workload, Measured: measured}
-
-		cfg, err := spec.Resolve()
-		if err != nil {
-			return // invalid platform: rejected before keying, nothing to check
-		}
-		cwl, err := canonicalWorkload(wspec)
-		if err != nil {
+		canonical, key1, ok := prepare(t, req)
+		if !ok {
 			return
 		}
-
-		req := PredictRequest{Config: configKey(cfg), Workload: cwl, Delta: delta}
-		key1, err := canonicalKey("predict", req)
-		if err != nil {
-			t.Fatalf("canonicalKey failed on resolved request: %v", err)
-		}
-		key2, err := canonicalKey("predict", req)
-		if err != nil || key1 != key2 {
-			t.Fatalf("canonicalKey not deterministic: %q vs %q (err %v)", key1, key2, err)
+		if _, key2, _ := prepare(t, req); key2 != key1 {
+			t.Fatalf("keying not deterministic: %q vs %q", key1, key2)
 		}
 		if !strings.HasPrefix(key1, "predict\x00") {
 			t.Fatalf("key %q does not embed its endpoint", key1)
 		}
-		other, err := canonicalKey("validate", req)
+		other, err := canonicalKey("validate", canonical)
 		if err != nil || other == key1 {
 			t.Fatalf("keys collide across endpoints: %q", key1)
 		}
 
 		// Idempotence: the canonical workload is a fixed point.
+		cwl := canonical.Workload
 		again, err := canonicalWorkload(cwl)
 		if err != nil {
 			t.Fatalf("canonical workload %+v rejected on re-canonicalization: %v", cwl, err)
@@ -85,48 +97,14 @@ func FuzzCanonicalKey(f *testing.F) {
 			t.Fatalf("canonicalWorkload not idempotent: %+v -> %+v", cwl, again)
 		}
 
-		// Resolving the canonical config spec reproduces the same key, so
-		// alias spellings cannot split the cache.
-		cfg2, err := configKey(cfg).Resolve()
-		if err != nil {
-			t.Fatalf("canonical config spec %+v rejected on re-resolve: %v", configKey(cfg), err)
+		// Replaying the canonical request reproduces the same key, so alias
+		// spellings cannot split the cache, and lands on the same owner.
+		_, key3, ok := prepare(t, canonical)
+		if !ok || key3 != key1 {
+			t.Fatalf("canonical request not a fixed point: %q vs %q (prepared %v)", key3, key1, ok)
 		}
-		key3, err := canonicalKey("predict", PredictRequest{Config: configKey(cfg2), Workload: cwl, Delta: delta})
-		if err != nil || key3 != key1 {
-			t.Fatalf("canonical config not a fixed point: %q vs %q (err %v)", key3, key1, err)
-		}
-
-		// The sweep fast path composes predict keys from per-axis JSON
-		// fragments instead of marshaling per point; composition must be
-		// byte-identical to canonicalization or grid points would split
-		// from (or, worse, collide with) single-request cache entries.
-		cfgJSON, err := json.Marshal(configKey(cfg))
-		if err != nil {
-			t.Fatalf("marshal config fragment: %v", err)
-		}
-		wlJSON, err := json.Marshal(cwl)
-		if err != nil {
-			t.Fatalf("marshal workload fragment: %v", err)
-		}
-		var deltaJSON []byte
-		if delta != 0 {
-			if deltaJSON, err = json.Marshal(delta); err != nil {
-				return // unencodable delta (NaN/Inf): the sweep handler rejects it with the same error
-			}
-		}
-		composed := composePredictKey(cfgJSON, wlJSON, deltaJSON)
-		if composed != key1 {
-			t.Fatalf("composed sweep key diverges from canonical key:\ncomposed:  %q\ncanonical: %q", composed, key1)
-		}
-
-		// Cluster placement rides these keys: a sweep point and the
-		// equivalent single request must land on the same ring owner, or
-		// a grid would forward points away from the shard that caches
-		// their single-request twins. (Byte-identity above implies this;
-		// asserting it directly keys the property to what the cluster
-		// actually consumes.)
-		if fuzzRing.Owner(composed) != fuzzRing.Owner(key1) {
-			t.Fatalf("composed key %q and canonical key %q placed on different owners", composed, key1)
+		if fuzzRing.Owner(key3) != fuzzRing.Owner(key1) {
+			t.Fatalf("replayed key %q and original key %q placed on different owners", key3, key1)
 		}
 
 		// Sweep budget keys embed their own endpoint and the full budget

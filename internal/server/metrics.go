@@ -127,33 +127,36 @@ type serverMetrics struct {
 	LocalFallbacks expvar.Int // peer-owned keys computed locally (owners unusable)
 	queueDepth     func() int64
 	cacheLen       func() int
-	endpoints      map[string]*endpointMetrics
-	cluster        func() map[string]any // forwarder's view; nil = single-node
+	endpoints      map[string]*endpointMetrics // filled in New, read-only after
+	cluster        func() map[string]any       // forwarder's view; nil = single-node
 }
 
-func newServerMetrics(endpoints []string, queueDepth func() int64, cacheLen func() int) *serverMetrics {
+func newServerMetrics(queueDepth func() int64, cacheLen func() int) *serverMetrics {
 	m := &serverMetrics{
 		queueDepth: queueDepth,
 		cacheLen:   cacheLen,
-		endpoints:  make(map[string]*endpointMetrics, len(endpoints)),
-	}
-	for _, name := range endpoints {
-		m.endpoints[name] = &endpointMetrics{Latency: newHistogram()}
+		endpoints:  make(map[string]*endpointMetrics),
 	}
 	m.Forwards.Init()
 	return m
 }
 
-// observe records one finished request.
-func (m *serverMetrics) observe(endpoint string, d time.Duration, status int) {
+// endpoint registers the named endpoint's counters: the route table in New
+// calls it once per route, so the routes are the metrics vocabulary.
+func (m *serverMetrics) endpoint(name string) *endpointMetrics {
+	e := &endpointMetrics{Latency: newHistogram()}
+	m.endpoints[name] = e
+	return e
+}
+
+// observe records one finished request of endpoint e.
+func (m *serverMetrics) observe(e *endpointMetrics, d time.Duration, status int) {
 	m.Requests.Add(1)
-	if e, ok := m.endpoints[endpoint]; ok {
-		e.Requests.Add(1)
-		if status >= 400 {
-			e.Errors.Add(1)
-		}
-		e.Latency.observe(d)
+	e.Requests.Add(1)
+	if status >= 400 {
+		e.Errors.Add(1)
 	}
+	e.Latency.observe(d)
 }
 
 // snapshot renders the full metrics tree (the /metrics body and the

@@ -60,7 +60,8 @@ func newRequestID() string {
 // request-ID propagation, request counting and latency recording, panic
 // recovery (a crashed handler yields a 500 JSON error and a metric — never
 // a dropped connection), and entry-site fault injection on API endpoints.
-func (s *Server) instrument(name string, api bool, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
+// The route's counters m are bound here, once, not looked up per request.
+func (s *Server) instrument(rt route, m *endpointMetrics) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -74,20 +75,20 @@ func (s *Server) instrument(name string, api bool, h func(http.ResponseWriter, *
 				// metric records the crash.
 				if !sw.wroteHeader {
 					s.failCode(sw, http.StatusInternalServerError, CodePanic,
-						fmt.Errorf("server: %s handler panicked: %v", name, rec))
+						fmt.Errorf("server: %s handler panicked: %v", rt.name, rec))
 				}
 			}
-			s.metrics.observe(name, time.Since(start), sw.status)
+			s.metrics.observe(m, time.Since(start), sw.status)
 		}()
-		if api && s.faults != nil {
+		if rt.api && s.faults != nil {
 			// Entry-site faults: injected latency and panics. A returned
 			// error surfaces as a retryable 503.
-			if err := s.faults.Inject(faults.SiteEntry, name); err != nil {
+			if err := s.faults.Inject(faults.SiteEntry, rt.name); err != nil {
 				s.fail(sw, http.StatusServiceUnavailable, err)
 				return
 			}
 		}
-		h(sw, r)
+		rt.serve(sw, r, rt.name)
 	}
 }
 

@@ -78,7 +78,7 @@ func (p *workerPool) run() {
 // do runs fn on a pool worker and waits for it. It fails fast with
 // ErrOverloaded when the queue is full; an accepted job always runs to
 // completion. The wait has no deadline of its own: do runs inside a cache
-// flight's computation (Server.handleValidate), which owns no requester,
+// flight's computation (Server.prepareValidate), which owns no requester,
 // so a requester that gives up leaves the finished simulation to be
 // cached. A panic in fn is re-raised here, on the caller's goroutine,
 // where the caller's recover (Server.guardCompute) turns it into an error;

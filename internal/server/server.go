@@ -107,9 +107,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// endpointNames is the fixed metrics vocabulary.
-var endpointNames = []string{"predict", "sweep", "batch", "optimize", "advise", "fit", "validate", "healthz", "readyz", "metrics", "notfound"}
-
 // Server is the chc-serve service: handlers, result cache, simulation
 // worker pool, and operational state.
 type Server struct {
@@ -120,7 +117,10 @@ type Server struct {
 	mux       *http.ServeMux
 	faults    faults.Hook   // nil = no injection
 	forwarder PeerForwarder // nil = single-node mode
-	draining  atomic.Bool
+	// forwardPaths maps each cached route's name — the prefix of its cache
+	// keys — to the path its canonical bodies replay against (cluster.go).
+	forwardPaths map[string]string
+	draining     atomic.Bool
 	// sweepSem admits whole-grid sweeps: one token per streaming sweep,
 	// acquired non-blocking so excess grids shed immediately with 429.
 	sweepSem chan struct{}
@@ -132,36 +132,65 @@ type Server struct {
 	resolve  func(name string, measured bool) (core.Workload, error)
 }
 
+// predictRoute names /v1/predict. Sweep and batch points key under it
+// too, so a grid point and the equivalent single request share one cache
+// entry, and a grid line carrying such an answer is of this kind.
+const predictRoute = "predict"
+
+// route is one row of the route table. Every endpoint is declared once,
+// in New: the mux, the metrics vocabulary and the forwardable cache-key
+// prefixes are all derived from the table.
+type route struct {
+	name string // metrics name and fault label; a cached route's key prefix
+	path string
+	api  bool // an API endpoint: entry-site faults apply
+	// cached marks a route answered through the result cache under keys
+	// "name\x00canonicalJSON" whose JSON is itself a request that replays
+	// against path and resolves back to the same key — so in cluster mode
+	// such keys forward to their ring owner (cachedRoute sets it).
+	cached bool
+	serve  func(w http.ResponseWriter, r *http.Request, name string)
+}
+
 // New builds a Server with the given configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		cache:     newResultCache(cfg.CacheEntries, cfg.CacheShards),
-		pool:      newWorkerPool(cfg.SimWorkers, cfg.SimQueueDepth),
-		sweepSem:  make(chan struct{}, cfg.SweepConcurrency),
-		faults:    cfg.Faults,
-		forwarder: cfg.Forwarder,
-		evaluate:  core.Evaluate,
-		simulate:  runSimulation,
-		resolve:   experiments.ResolveWorkload,
+		cfg:          cfg,
+		cache:        newResultCache(cfg.CacheEntries, cfg.CacheShards),
+		pool:         newWorkerPool(cfg.SimWorkers, cfg.SimQueueDepth),
+		sweepSem:     make(chan struct{}, cfg.SweepConcurrency),
+		faults:       cfg.Faults,
+		forwarder:    cfg.Forwarder,
+		forwardPaths: make(map[string]string),
+		evaluate:     core.Evaluate,
+		simulate:     runSimulation,
+		resolve:      experiments.ResolveWorkload,
 	}
-	s.metrics = newServerMetrics(endpointNames, s.pool.depth, s.cache.len)
+	s.metrics = newServerMetrics(s.pool.depth, s.cache.len)
 	if s.forwarder != nil {
 		s.metrics.cluster = s.forwarder.Stats
 	}
+	routes := []route{
+		cachedRoute(s, predictRoute, "/v1/predict", cfg.RequestTimeout, s.preparePredict),
+		{name: "sweep", path: "/v1/sweep", api: true, serve: s.handleSweep},
+		{name: "batch", path: "/v1/batch", api: true, serve: s.handleBatch},
+		cachedRoute(s, "optimize", "/v1/optimize", cfg.RequestTimeout, s.prepareOptimize),
+		cachedRoute(s, "advise", "/v1/advise", cfg.RequestTimeout, s.prepareAdvise),
+		cachedRoute(s, "fit", "/v1/fit", cfg.RequestTimeout, prepareFit),
+		cachedRoute(s, "validate", "/v1/validate", cfg.SimTimeout, s.prepareValidate),
+		{name: "healthz", path: "/healthz", serve: s.handleHealthz},
+		{name: "readyz", path: "/readyz", serve: s.handleReadyz},
+		{name: "metrics", path: "/metrics", serve: s.handleMetrics},
+		{name: "notfound", path: "/", serve: s.handleNotFound},
+	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/predict", s.instrument("predict", true, s.handlePredict))
-	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", true, s.handleSweep))
-	s.mux.HandleFunc("/v1/batch", s.instrument("batch", true, s.handleBatch))
-	s.mux.HandleFunc("/v1/optimize", s.instrument("optimize", true, s.handleOptimize))
-	s.mux.HandleFunc("/v1/advise", s.instrument("advise", true, s.handleAdvise))
-	s.mux.HandleFunc("/v1/fit", s.instrument("fit", true, s.handleFit))
-	s.mux.HandleFunc("/v1/validate", s.instrument("validate", true, s.handleValidate))
-	s.mux.HandleFunc("/healthz", s.instrument("healthz", false, s.handleHealthz))
-	s.mux.HandleFunc("/readyz", s.instrument("readyz", false, s.handleReadyz))
-	s.mux.HandleFunc("/metrics", s.instrument("metrics", false, s.handleMetrics))
-	s.mux.HandleFunc("/", s.instrument("notfound", false, s.handleNotFound))
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.path, s.instrument(rt, s.metrics.endpoint(rt.name)))
+		if rt.cached {
+			s.forwardPaths[rt.name] = rt.path
+		}
+	}
 	return s
 }
 
@@ -189,11 +218,11 @@ func (s *Server) Metrics() map[string]any { return s.metrics.snapshot() }
 
 // ---- operational endpoints ----
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ string) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request, _ string) {
 	if s.draining.Load() {
 		// Draining is an error response like any other: JSON body with a
 		// machine-readable code and the request ID.
@@ -206,12 +235,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // handleNotFound is the fallback route: unknown paths get the same JSON
 // error contract as every other failure, not net/http's bare-text 404.
-func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request, _ string) {
 	s.failCode(w, http.StatusNotFound, CodeNotFound,
 		fmt.Errorf("server: no such endpoint %q", r.URL.Path))
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ string) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -520,41 +549,73 @@ func render(v any) (entry, error) {
 
 // ---- API endpoints ----
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, ok := s.post(w, r, s.cfg.RequestTimeout)
-	if !ok {
-		return
+// cachedRoute declares a cache-backed route: every such request takes one
+// path from body to cache key. post checks the method and sets the
+// route's deadline; decode reads the body; prepare validates it and
+// returns its canonical form and computation (a failure of either is a
+// 400); canonicalKey keys the canonical form under the route's name (a
+// failure is a 500); serveCached answers. The canonical form is itself a
+// request body that prepares back to the same key, which is what lets a
+// cluster node replay it against path at the key's owner.
+func cachedRoute[Req any](s *Server, name, path string, timeout time.Duration,
+	prepare func(*Req) (any, func() (entry, error), error)) route {
+	serve := func(w http.ResponseWriter, r *http.Request, _ string) {
+		ctx, cancel, ok := s.post(w, r, timeout)
+		if !ok {
+			return
+		}
+		defer cancel()
+		var req Req
+		if err := s.decode(r, &req); err != nil {
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		canonical, compute, err := prepare(&req)
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		key, err := canonicalKey(name, canonical)
+		if err != nil {
+			s.fail(w, http.StatusInternalServerError, err)
+			return
+		}
+		s.serveCached(ctx, w, r, name, key, compute)
 	}
-	defer cancel()
-	var req PredictRequest
-	if err := s.decode(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	cfg, err := req.Config.Resolve()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	wspec, err := canonicalWorkload(req.Workload)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	key, err := canonicalKey("predict", PredictRequest{Config: configKey(cfg), Workload: wspec, Delta: req.Delta})
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.serveCached(ctx, w, r, "predict", key, s.predictCompute(cfg, wspec, req.Delta))
+	return route{name: name, path: path, api: true, cached: true, serve: serve}
 }
 
-// predictCompute is the /v1/predict computation behind the cache: resolve
-// the workload, solve the model, render. Sweep and batch points run the
-// same closure under the same keys, so a sweep point and the equivalent
-// single request share one cache entry byte for byte.
-func (s *Server) predictCompute(cfg machine.Config, wspec WorkloadSpec, delta float64) func() (entry, error) {
-	return func() (entry, error) {
+// resolvePredict resolves a predict request's platform and canonicalizes
+// its workload. On a failure the results resolved so far are still
+// returned: a batch's error line names what it could.
+func resolvePredict(req *PredictRequest) (machine.Config, WorkloadSpec, error) {
+	cfg, err := req.Config.Resolve()
+	if err != nil {
+		return cfg, WorkloadSpec{}, err
+	}
+	wspec, err := canonicalWorkload(req.Workload)
+	return cfg, wspec, err
+}
+
+// preparePredict is /v1/predict's prepare step; batch points run the same
+// resolution and the same predictPoint.
+func (s *Server) preparePredict(req *PredictRequest) (any, func() (entry, error), error) {
+	cfg, wspec, err := resolvePredict(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	canonical, compute := s.predictPoint(cfg, wspec, req.Delta)
+	return canonical, compute, nil
+}
+
+// predictPoint is the one way a predict point is keyed and computed:
+// /v1/predict, batch points and sweep points all build their canonical
+// request here and key it under predictRoute, so a grid point and the
+// equivalent single request share one cache entry byte for byte. The
+// computation resolves the workload, solves the model and renders.
+func (s *Server) predictPoint(cfg machine.Config, wspec WorkloadSpec, delta float64) (PredictRequest, func() (entry, error)) {
+	canonical := PredictRequest{Config: configKey(cfg), Workload: wspec, Delta: delta}
+	return canonical, func() (entry, error) {
 		wl, err := s.resolveSpec(wspec)
 		if err != nil {
 			return entry{}, err
@@ -569,20 +630,9 @@ func (s *Server) predictCompute(cfg machine.Config, wspec WorkloadSpec, delta fl
 	}
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, ok := s.post(w, r, s.cfg.RequestTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	var req OptimizeRequest
-	if err := s.decode(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) prepareOptimize(req *OptimizeRequest) (any, func() (entry, error), error) {
 	if req.Budget <= 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: budget must be positive, got %v", req.Budget))
-		return
+		return nil, nil, fmt.Errorf("server: budget must be positive, got %v", req.Budget)
 	}
 	top := req.Top
 	if top <= 0 {
@@ -592,15 +642,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	wspec, err := canonicalWorkload(req.Workload)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
-	key, err := canonicalKey("optimize", OptimizeRequest{Budget: req.Budget, Workload: wspec, Top: top, Delta: req.Delta})
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.serveCached(ctx, w, r, "optimize", key, func() (entry, error) {
+	canonical := OptimizeRequest{Budget: req.Budget, Workload: wspec, Top: top, Delta: req.Delta}
+	return canonical, func() (entry, error) {
 		wl, err := s.resolveSpec(wspec)
 		if err != nil {
 			return entry{}, err
@@ -610,51 +655,30 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return entry{}, err
 		}
-		n := top
-		if n > len(all) {
-			n = len(all)
-		}
 		return render(OptimizeResponse{
 			Workload:  wl.Name,
 			Principle: cost.Recommend(wl).String(),
 			Feasible:  len(all),
 			Best:      best,
-			Top:       all[:n],
+			Top:       all[:min(top, len(all))],
 		})
-	})
+	}, nil
 }
 
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, ok := s.post(w, r, s.cfg.RequestTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	var req AdviseRequest
-	if err := s.decode(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) prepareAdvise(req *AdviseRequest) (any, func() (entry, error), error) {
 	cfg, err := req.Config.Resolve()
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
 	if req.Budget < 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: negative budget increase %v", req.Budget))
-		return
+		return nil, nil, fmt.Errorf("server: negative budget increase %v", req.Budget)
 	}
 	wspec, err := canonicalWorkload(req.Workload)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
-	key, err := canonicalKey("advise", AdviseRequest{Config: configKey(cfg), Budget: req.Budget, Workload: wspec, Delta: req.Delta})
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.serveCached(ctx, w, r, "advise", key, func() (entry, error) {
+	canonical := AdviseRequest{Config: configKey(cfg), Budget: req.Budget, Workload: wspec, Delta: req.Delta}
+	return canonical, func() (entry, error) {
 		wl, err := s.resolveSpec(wspec)
 		if err != nil {
 			return entry{}, err
@@ -674,80 +698,48 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			Plan:      plan,
 			Advice:    advice,
 		})
-	})
+	}, nil
 }
 
-func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, ok := s.post(w, r, s.cfg.RequestTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	var req FitRequest
-	if err := s.decode(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	key, err := canonicalKey("fit", req)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.serveCached(ctx, w, r, "fit", key, func() (entry, error) {
+// prepareFit keys a fit on the request as sent: it has no aliases.
+func prepareFit(req *FitRequest) (any, func() (entry, error), error) {
+	return *req, func() (entry, error) {
 		params, stats, err := locality.Fit(req.Xs, req.Ps, locality.FitOptions{Weights: req.Weights})
 		if err != nil {
 			return entry{}, err
 		}
 		params.Gamma = req.Gamma
 		return render(FitResponse{Params: params, Stats: stats})
-	})
+	}, nil
 }
 
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, ok := s.post(w, r, s.cfg.SimTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	var req ValidateRequest
-	if err := s.decode(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) prepareValidate(req *ValidateRequest) (any, func() (entry, error), error) {
 	kernel, err := canonicalKernelName(req.Workload)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
 	divisor := req.Divisor
 	if divisor == 0 {
 		divisor = 16
 	}
 	if divisor < 1 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: divisor must be >= 1, got %d", divisor))
-		return
+		return nil, nil, fmt.Errorf("server: divisor must be >= 1, got %d", divisor)
 	}
 	cfg, err := req.Config.Resolve()
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
 	if divisor > 1 {
 		if cfg, err = cfg.Scaled(divisor); err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
+			return nil, nil, err
 		}
 	}
 	// The canonical Config is the already-scaled form (its Divisor, if
 	// any, is part of configKey), so the canonical request pins Divisor
 	// to 1: replaying these bytes — as the cluster forwarder does — must
 	// not scale the platform a second time.
-	key, err := canonicalKey("validate", ValidateRequest{Config: configKey(cfg), Workload: kernel, Divisor: 1})
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.serveCached(ctx, w, r, "validate", key, func() (entry, error) {
+	canonical := ValidateRequest{Config: configKey(cfg), Workload: kernel, Divisor: 1}
+	return canonical, func() (entry, error) {
 		// The expensive leg: bounded workers, bounded queue, shed beyond.
 		var res backend.RunResult
 		var simErr error
@@ -782,7 +774,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 			CoherenceShare: res.CoherenceShare,
 			NetUtilization: res.NetUtilization,
 		})
-	})
+	}, nil
 }
 
 // resolveSpec turns a canonicalized workload spec into a model workload.

@@ -14,8 +14,9 @@ package server
 // sweeps, and grids beyond the limit (or during drain) are shed with the
 // same 429 + Retry-After contract as the simulation pool. Within an
 // admitted grid, SweepWorkers evaluation workers with reused per-worker
-// buffers fan out over the points; per-point canonicalization is amortized
-// by composing cache keys from per-axis JSON fragments marshaled once.
+// buffers fan out over the points. A sweep resolves each axis once; every
+// predict point — sweep or batch — is keyed by predictPoint, the helper
+// /v1/predict itself uses.
 
 import (
 	"bytes"
@@ -117,26 +118,6 @@ type sweepJob struct {
 	err error
 }
 
-// composePredictKey builds the cache key of a sweep's predict point from
-// per-axis JSON fragments, byte-identical to canonicalKey("predict",
-// PredictRequest{...}) — json.Marshal emits struct fields in declaration
-// order, so the envelope is a fixed frame around the fragments. This is
-// what lets a grid of C×W points pay C+W marshals instead of C×W.
-func composePredictKey(cfgJSON, wlJSON, deltaJSON []byte) string {
-	var b bytes.Buffer
-	b.Grow(len("predict\x00{\"config\":,\"workload\":,\"delta\":}") + len(cfgJSON) + len(wlJSON) + len(deltaJSON))
-	b.WriteString("predict\x00{\"config\":")
-	b.Write(cfgJSON)
-	b.WriteString(",\"workload\":")
-	b.Write(wlJSON)
-	if len(deltaJSON) > 0 {
-		b.WriteString(",\"delta\":")
-		b.Write(deltaJSON)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
 // budgetCompute is the kind "budget" computation: one optimization pass
 // answering every budget for one workload. An all-infeasible sweep is an
 // errInfeasible (422 on the line, code "infeasible").
@@ -155,7 +136,7 @@ func (s *Server) budgetCompute(wspec WorkloadSpec, budgets []float64, delta floa
 	}
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, name string) {
 	ctx, cancel, ok := s.post(w, r, s.cfg.SweepTimeout)
 	if !ok {
 		return
@@ -187,55 +168,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve each axis once; any invalid axis value fails the whole grid
 	// up front (unlike batch, whose points are independent requests).
-	type cfgAxis struct {
-		cfg  machine.Config
-		name string
-		json []byte
-	}
-	cfgs := make([]cfgAxis, len(req.Configs))
+	cfgs := make([]machine.Config, len(req.Configs))
 	for i, spec := range req.Configs {
 		cfg, err := spec.Resolve()
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("server: sweep: configs[%d]: %w", i, err))
 			return
 		}
-		j, err := json.Marshal(configKey(cfg))
-		if err != nil {
-			s.fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		cfgs[i] = cfgAxis{cfg: cfg, name: cfg.Name, json: j}
+		cfgs[i] = cfg
 	}
-	type wlAxis struct {
-		spec WorkloadSpec
-		name string
-		json []byte
-	}
-	wls := make([]wlAxis, len(req.Workloads))
+	wls := make([]WorkloadSpec, len(req.Workloads))
 	for i, spec := range req.Workloads {
 		wspec, err := canonicalWorkload(spec)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("server: sweep: workloads[%d]: %w", i, err))
 			return
 		}
-		j, err := json.Marshal(wspec)
-		if err != nil {
-			s.fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		name := wspec.Name
-		if wspec.Inline != nil {
-			name = wspec.Inline.Name
-		}
-		wls[i] = wlAxis{spec: wspec, name: name, json: j}
-	}
-	var deltaJSON []byte
-	if req.Delta != 0 {
-		var err error
-		if deltaJSON, err = json.Marshal(req.Delta); err != nil {
-			s.fail(w, http.StatusInternalServerError, err)
-			return
-		}
+		wls[i] = wspec
 	}
 	// Budgets: sorted, deduped — the canonical form shared by the cache
 	// key and the optimization (which sorts anyway).
@@ -265,44 +214,49 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	jobs := make([]sweepJob, 0, total-req.Offset)
-	for ci := range cfgs {
-		for wi := range wls {
+	for ci, cfg := range cfgs {
+		for wi, wspec := range wls {
 			idx := ci*len(wls) + wi
 			if idx < req.Offset {
 				continue
 			}
-			jobs = append(jobs, sweepJob{
-				index: idx, kind: "predict",
-				config: cfgs[ci].name, workload: wls[wi].name,
-				key:     composePredictKey(cfgs[ci].json, wls[wi].json, deltaJSON),
-				compute: s.predictCompute(cfgs[ci].cfg, wls[wi].spec, req.Delta),
-			})
-		}
-	}
-	if len(budgets) > 0 {
-		base := len(cfgs) * len(wls)
-		for wi := range wls {
-			idx := base + wi
-			if idx < req.Offset {
-				continue
-			}
-			key, err := canonicalKey("sweepbudgets", sweepBudgetsKey{
-				Workload: wls[wi].spec, Budgets: budgets, Delta: req.Delta})
+			canonical, compute := s.predictPoint(cfg, wspec, req.Delta)
+			key, err := canonicalKey(predictRoute, canonical)
 			if err != nil {
 				s.fail(w, http.StatusInternalServerError, err)
 				return
 			}
 			jobs = append(jobs, sweepJob{
-				index: idx, kind: "budget", workload: wls[wi].name,
-				key:     key,
-				compute: s.budgetCompute(wls[wi].spec, budgets, req.Delta),
+				index: idx, kind: predictRoute,
+				config: cfg.Name, workload: displayName(wspec),
+				key: key, compute: compute,
 			})
 		}
 	}
-	s.streamGrid(ctx, w, r, "sweep", total, req.Offset, jobs)
+	if len(budgets) > 0 {
+		base := len(cfgs) * len(wls)
+		for wi, wspec := range wls {
+			idx := base + wi
+			if idx < req.Offset {
+				continue
+			}
+			key, err := canonicalKey("sweepbudgets", sweepBudgetsKey{
+				Workload: wspec, Budgets: budgets, Delta: req.Delta})
+			if err != nil {
+				s.fail(w, http.StatusInternalServerError, err)
+				return
+			}
+			jobs = append(jobs, sweepJob{
+				index: idx, kind: "budget", workload: displayName(wspec),
+				key:     key,
+				compute: s.budgetCompute(wspec, budgets, req.Delta),
+			})
+		}
+	}
+	s.streamGrid(ctx, w, r, name, total, req.Offset, jobs)
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, name string) {
 	ctx, cancel, ok := s.post(w, r, s.cfg.SweepTimeout)
 	if !ok {
 		return
@@ -332,30 +286,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server: batch: offset %d outside batch of %d points", req.Offset, total))
 		return
 	}
-	// Batch points are independent requests: one invalid point becomes an
-	// error line, the rest of the batch still runs.
+	// Batch points are independent requests, resolved as /v1/predict
+	// resolves them: one invalid point becomes an error line, the rest of
+	// the batch still runs.
 	jobs := make([]sweepJob, 0, total-req.Offset)
 	for i := req.Offset; i < total; i++ {
-		pr := req.Requests[i]
-		job := sweepJob{index: i, kind: "predict"}
-		cfg, err := pr.Config.Resolve()
+		pr := &req.Requests[i]
+		cfg, wspec, err := resolvePredict(pr)
+		job := sweepJob{index: i, kind: predictRoute, config: cfg.Name, workload: displayName(wspec), err: err}
 		if err == nil {
-			job.config = cfg.Name
-			var wspec WorkloadSpec
-			if wspec, err = canonicalWorkload(pr.Workload); err == nil {
-				job.workload = wspec.Name
-				if wspec.Inline != nil {
-					job.workload = wspec.Inline.Name
-				}
-				if job.key, err = canonicalKey("predict", PredictRequest{Config: configKey(cfg), Workload: wspec, Delta: pr.Delta}); err == nil {
-					job.compute = s.predictCompute(cfg, wspec, pr.Delta)
-				}
-			}
+			canonical, compute := s.predictPoint(cfg, wspec, pr.Delta)
+			job.key, job.err = canonicalKey(predictRoute, canonical)
+			job.compute = compute
 		}
-		job.err = err
 		jobs = append(jobs, job)
 	}
-	s.streamGrid(ctx, w, r, "batch", total, req.Offset, jobs)
+	s.streamGrid(ctx, w, r, name, total, req.Offset, jobs)
+}
+
+// displayName is the name a grid line gives a canonical workload (empty
+// for the zero spec a failed canonicalization returns).
+func displayName(wspec WorkloadSpec) string {
+	if wspec.Inline != nil {
+		return wspec.Inline.Name
+	}
+	return wspec.Name
 }
 
 // streamGrid admits the grid against the sweep semaphore, fans the jobs

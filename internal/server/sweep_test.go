@@ -114,22 +114,8 @@ func TestSweepMatchesPredict(t *testing.T) {
 	}
 	for ci, c := range configs {
 		for wi, w := range workloads {
-			line := lines[ci*len(workloads)+wi]
-			if line.Kind != "predict" || line.Status != http.StatusOK {
-				t.Fatalf("line %d = %+v", line.Index, line)
-			}
-			single := post(t, s, "/v1/predict", PredictRequest{Config: ConfigSpec{Name: c}, Workload: WorkloadSpec{Name: w}})
-			if single.Code != http.StatusOK {
-				t.Fatalf("predict %s/%s status %d", c, w, single.Code)
-			}
-			if single.Header().Get("X-Cache") != "hit" {
-				t.Errorf("predict %s/%s after sweep: X-Cache = %q, want hit (sweep must warm the predict cache)",
-					c, w, single.Header().Get("X-Cache"))
-			}
-			if want := compact(t, single.Body.Bytes()); !bytes.Equal([]byte(line.Response), want) {
-				t.Errorf("%s/%s sweep point differs from /v1/predict:\nsweep:   %s\npredict: %s",
-					c, w, line.Response, want)
-			}
+			assertPredictHit(t, s, PredictRequest{Config: ConfigSpec{Name: c}, Workload: WorkloadSpec{Name: w}},
+				lines[ci*len(workloads)+wi])
 		}
 	}
 
@@ -169,6 +155,74 @@ func TestSweepMatchesPredict(t *testing.T) {
 	_, sum2 := readStream(t, again.Body.Bytes())
 	if sum2.CacheHits != total || sum2.CacheMisses != 0 {
 		t.Errorf("warm sweep hits=%d misses=%d, want %d/0", sum2.CacheHits, sum2.CacheMisses, total)
+	}
+
+	// The request-shape corners of predict keying, as a sweep and as a
+	// batch on a fresh server: a scaled catalog platform, a lower-case
+	// alias, custom ws and csmp platforms, a measured workload and an
+	// inline one, under a non-zero delta. Every point must be the cache
+	// entry of the equivalent /v1/predict.
+	inline, err := core.PaperWorkloadByName("lu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	corner := SweepRequest{
+		Configs: []ConfigSpec{
+			{Name: "C4", Divisor: 16},
+			{Name: "c12"},
+			{Kind: "ws", Machines: 4, Net: "100"},
+			{Kind: "csmp", Machines: 4, Procs: 2, Net: "atm", ClockMHz: 300},
+		},
+		Workloads: []WorkloadSpec{{Name: "radix"}, {Name: "FFT", Measured: true}, {Inline: &inline}},
+		Delta:     0.5,
+	}
+	var points []PredictRequest
+	for _, c := range corner.Configs {
+		for _, w := range corner.Workloads {
+			points = append(points, PredictRequest{Config: c, Workload: w, Delta: corner.Delta})
+		}
+	}
+	rec = post(t, s, "/v1/sweep", corner)
+	sweepLines, summary := readStream(t, rec.Body.Bytes())
+	if rec.Code != http.StatusOK || len(sweepLines) != len(points) || !summary.Complete || summary.Errors != 0 {
+		t.Fatalf("corner sweep: status %d, %d lines, summary %+v", rec.Code, len(sweepLines), summary)
+	}
+	for i, pr := range points {
+		assertPredictHit(t, s, pr, sweepLines[i])
+	}
+	fresh := New(Config{})
+	defer fresh.Close()
+	rec = post(t, fresh, "/v1/batch", BatchRequest{Requests: points})
+	batchLines, summary := readStream(t, rec.Body.Bytes())
+	if rec.Code != http.StatusOK || len(batchLines) != len(points) || !summary.Complete || summary.Errors != 0 {
+		t.Fatalf("corner batch: status %d, %d lines, summary %+v", rec.Code, len(batchLines), summary)
+	}
+	for i, pr := range points {
+		assertPredictHit(t, fresh, pr, batchLines[i])
+		if bl, sl := batchLines[i], sweepLines[i]; bl.Config != sl.Config || bl.Workload != sl.Workload ||
+			!bytes.Equal(bl.Response, sl.Response) {
+			t.Errorf("point %d: batch line %s/%s differs from sweep line %s/%s", i, bl.Config, bl.Workload, sl.Config, sl.Workload)
+		}
+	}
+}
+
+// assertPredictHit checks a grid point against the equivalent /v1/predict
+// request: the grid computed the point under the same key, so the request
+// is a cache hit, and it carries the line's bytes modulo indentation.
+func assertPredictHit(t *testing.T, s *Server, req PredictRequest, line SweepLine) {
+	t.Helper()
+	if line.Kind != "predict" || line.Status != http.StatusOK {
+		t.Fatalf("line %d = %+v (error %+v)", line.Index, line, line.Error)
+	}
+	single := post(t, s, "/v1/predict", req)
+	if single.Code != http.StatusOK {
+		t.Fatalf("predict %+v: status %d", req, single.Code)
+	}
+	if got := single.Header().Get("X-Cache"); got != "hit" {
+		t.Errorf("predict %+v after the grid: X-Cache = %q, want hit (the grid must warm the predict cache)", req, got)
+	}
+	if want := compact(t, single.Body.Bytes()); !bytes.Equal(line.Response, want) {
+		t.Errorf("grid point %d differs from /v1/predict:\ngrid:    %s\npredict: %s", line.Index, line.Response, want)
 	}
 }
 
@@ -418,50 +472,6 @@ func TestBatchMixedPoints(t *testing.T) {
 		}
 		if want := compact(t, single.Body.Bytes()); !bytes.Equal([]byte(lines[i].Response), want) {
 			t.Errorf("batch point %d differs from /v1/predict", i)
-		}
-	}
-}
-
-// TestComposePredictKey pins the composed key to the canonical one across
-// the request-shape corners (catalog, divisor, custom, measured, inline,
-// delta spellings).
-func TestComposePredictKey(t *testing.T) {
-	inline := core.Workload{}
-	if wl, err := core.PaperWorkloadByName("lu"); err == nil {
-		inline = wl
-	}
-	cases := []struct {
-		cfg   ConfigSpec
-		wl    WorkloadSpec
-		delta float64
-	}{
-		{ConfigSpec{Name: "C4"}, WorkloadSpec{Name: "FFT"}, 0},
-		{ConfigSpec{Name: "c12"}, WorkloadSpec{Name: "radix"}, 0.124},
-		{ConfigSpec{Name: "C4", Divisor: 16}, WorkloadSpec{Name: "fft", Measured: true}, -1},
-		{ConfigSpec{Kind: "ws", Machines: 4, Net: "100"}, WorkloadSpec{Name: "edge"}, 0},
-		{ConfigSpec{Kind: "csmp", Machines: 4, Procs: 2, Net: "atm", ClockMHz: 300}, WorkloadSpec{Inline: &inline}, 0.5},
-	}
-	for _, tc := range cases {
-		cfg, err := tc.cfg.Resolve()
-		if err != nil {
-			t.Fatalf("%+v: %v", tc.cfg, err)
-		}
-		wspec, err := canonicalWorkload(tc.wl)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc.wl, err)
-		}
-		want, err := canonicalKey("predict", PredictRequest{Config: configKey(cfg), Workload: wspec, Delta: tc.delta})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfgJSON, _ := json.Marshal(configKey(cfg))
-		wlJSON, _ := json.Marshal(wspec)
-		var deltaJSON []byte
-		if tc.delta != 0 {
-			deltaJSON, _ = json.Marshal(tc.delta)
-		}
-		if got := composePredictKey(cfgJSON, wlJSON, deltaJSON); got != want {
-			t.Errorf("composed key diverges:\ncomposed:  %q\ncanonical: %q", got, want)
 		}
 	}
 }

@@ -85,6 +85,32 @@ if [ "$hit" != "hit" ]; then
 fi
 echo "sweep warms predict cache ok"
 
+# Batch: each point is an independent request keyed the way /v1/predict
+# keys it. The invalid point becomes the one error line; each valid point
+# is the same JSON value /v1/predict returns, and the batch warmed the
+# cache, so the predict requests are hits.
+batch_req='{"requests":[{"config":{"name":"C11"},"workload":{"name":"radix"}},{"config":{"name":"C99"},"workload":{"name":"fft"}},{"config":{"name":"c2"},"workload":{"name":"Edge"},"delta":0.2}]}'
+batch=$(curl -fsS -X POST -d "$batch_req" "http://$addr/v1/batch")
+summary=$(printf '%s\n' "$batch" | tail -n 1)
+errors=$(printf '%s\n' "$batch" | jq -s '[.[] | select(.error != null)] | length')
+if [ "$(jq -r .complete <<<"$summary")" != "true" ] || [ "$(jq -r .errors <<<"$summary")" != "1" ] \
+   || [ "$errors" != "1" ] || [ "$(printf '%s\n' "$batch" | sed -n 2p | jq -r .status)" != "400" ]; then
+  echo "FAIL: batch summary $summary with $errors error lines, want one 400 line at index 1" >&2
+  exit 1
+fi
+for idx in 0 2; do
+  point=$(printf '%s\n' "$batch" | sed -n "$((idx + 1))p" | jq -c .response)
+  direct=$(curl -fsS -D "$bin/headers" -X POST -d "$(jq -c ".requests[$idx]" <<<"$batch_req")" \
+    "http://$addr/v1/predict" | jq -c .)
+  hit=$(tr -d '\r' <"$bin/headers" | awk 'tolower($1)=="x-cache:"{print $2}')
+  if [ "$point" != "$direct" ] || [ "$hit" != "hit" ]; then
+    echo "FAIL: batch point $idx: X-Cache=$hit, or its bytes diverge from /v1/predict" >&2
+    diff <(printf '%s' "$point") <(printf '%s' "$direct") >&2 || true
+    exit 1
+  fi
+done
+echo "batch ok (one error line; valid points byte-identical to /v1/predict, answered as hits)"
+
 # The chc sweep driver reproduces the paper's full Fig. 2-4 grid in one
 # request (exit 2 if any point errored).
 "$bin/chc" sweep -addr "http://$addr" >/dev/null
