@@ -1,8 +1,10 @@
 // Package client is the resilient Go client for the chc-serve service:
-// typed calls for every API endpoint with transparent retries,
-// exponential backoff with full jitter, Retry-After honoring on 429
-// shedding responses, and a consecutive-failure circuit breaker that
-// fails fast while the service is down instead of piling retries onto it.
+// JSON calls (Post, Call) and the NDJSON grid streams (Sweep, Batch) run
+// their wire attempts through one loop (retry), so both get the same
+// transparent retries, exponential backoff with full jitter, Retry-After
+// honoring on 429 shedding responses, and a consecutive-failure circuit
+// breaker that fails fast while the service is down instead of piling
+// retries onto it.
 //
 // A client can front a whole cluster instead of one node: NewMulti
 // installs a set of entry base URLs that calls round-robin over, and a
@@ -258,46 +260,10 @@ func (c *Client) markBase(i int, transportErr bool) {
 	}
 }
 
-// ---- typed endpoint calls ----
-
-// Predict calls /v1/predict.
-func (c *Client) Predict(ctx context.Context, req server.PredictRequest) (server.PredictResponse, Meta, error) {
-	var resp server.PredictResponse
-	meta, err := c.Post(ctx, "/v1/predict", req, &resp)
-	return resp, meta, err
-}
-
-// Optimize calls /v1/optimize.
-func (c *Client) Optimize(ctx context.Context, req server.OptimizeRequest) (server.OptimizeResponse, Meta, error) {
-	var resp server.OptimizeResponse
-	meta, err := c.Post(ctx, "/v1/optimize", req, &resp)
-	return resp, meta, err
-}
-
-// Advise calls /v1/advise.
-func (c *Client) Advise(ctx context.Context, req server.AdviseRequest) (server.AdviseResponse, Meta, error) {
-	var resp server.AdviseResponse
-	meta, err := c.Post(ctx, "/v1/advise", req, &resp)
-	return resp, meta, err
-}
-
-// Fit calls /v1/fit.
-func (c *Client) Fit(ctx context.Context, req server.FitRequest) (server.FitResponse, Meta, error) {
-	var resp server.FitResponse
-	meta, err := c.Post(ctx, "/v1/fit", req, &resp)
-	return resp, meta, err
-}
-
-// Validate calls /v1/validate (the simulation-backed endpoint; expect
-// longer latencies and 429 shedding under load).
-func (c *Client) Validate(ctx context.Context, req server.ValidateRequest) (server.ValidateResponse, Meta, error) {
-	var resp server.ValidateResponse
-	meta, err := c.Post(ctx, "/v1/validate", req, &resp)
-	return resp, meta, err
-}
-
 // Ready reports whether the service answers /readyz with 200 (the next
-// round-robin entry node, on a multi-base client).
+// round-robin entry node, on a multi-base client). It is a health probe,
+// not a call: one attempt that neither consults nor feeds the breaker,
+// and any answer but 200, draining included, is an error.
 func (c *Client) Ready(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.bases[c.pickBase(c.startBase(), 0)]+"/readyz", nil)
 	if err != nil {
@@ -338,57 +304,83 @@ func (c *Client) Call(ctx context.Context, path, requestID string, in, out any) 
 			return Meta{}, fmt.Errorf("client: encoding %s request: %w", path, err)
 		}
 	}
-	id := requestID
-	meta := Meta{RequestID: id}
-	start := c.startBase()
-	failovers := 0
+	meta := Meta{RequestID: requestID}
+	err := c.retry(ctx, path, &meta.Attempts, func(base string) (bool, bool, error) {
+		resp, b, err := c.send(ctx, base, path, requestID, body, true)
+		if resp != nil {
+			meta.Status = resp.StatusCode
+		}
+		if err != nil {
+			return false, false, err
+		}
+		meta.Cache, meta.Body = resp.Header.Get("X-Cache"), b
+		return true, false, nil
+	})
+	if err == nil && out != nil {
+		if err = json.Unmarshal(meta.Body, out); err != nil {
+			err = fmt.Errorf("client: decoding %s response: %w", path, err)
+		}
+	}
+	return meta, err
+}
 
+// exchange is one wire attempt of a call against base: a buffered JSON
+// answer (Call) or one NDJSON segment (stream). done reports that the call
+// is answered in full; progress, that the attempt delivered part of the
+// answer. Its error is returned bare: an *APIError for a non-2xx answer,
+// an *abort to end the call with the wrapped error, and anything else is a
+// transport-level failure.
+type exchange func(base string) (done, progress bool, err error)
+
+// abort ends a call at once with err: not retried, not a service failure.
+type abort struct{ err error }
+
+func (e *abort) Error() string { return e.err.Error() }
+
+// retry runs one call's exchanges under the client's one policy. Each
+// attempt is admitted by the breaker and goes to the call's start base
+// (see startBase), one base further per transport-level failure so far.
+// Any answer clears its base's down mark. A retryable answer (see
+// retryable; a draining 429 is not one) or a transport failure counts
+// against the breaker and is retried after a full-jitter backoff
+// stretched to the server's Retry-After. A 2xx closes the breaker; any
+// other answer closes it and ends the call. The budget is MaxRetries
+// re-attempts; an exchange that made progress refreshes it and is
+// resumed at once, so a long stream gives up only after MaxRetries
+// attempts in a row that delivered nothing. attempts counts the
+// exchanges made.
+func (c *Client) retry(ctx context.Context, path string, attempts *int, try exchange) error {
+	start := c.startBase()
+	failovers, budget := 0, c.opts.MaxRetries
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if err := c.breaker.allow(); err != nil {
 			if lastErr != nil {
-				return meta, fmt.Errorf("%w (last failure: %w)", err, lastErr)
+				return fmt.Errorf("%w (last failure: %w)", err, lastErr)
 			}
-			return meta, err
+			return err
 		}
-		meta.Attempts++
+		*attempts++
 		base := c.pickBase(start, failovers)
-		status, header, respBody, err := c.roundTrip(ctx, c.bases[base], path, id, body)
-		if ob := c.opts.Observer; ob != nil {
-			ob(Attempt{Path: path, RequestID: id, Status: status, Header: header, Body: respBody, Err: err})
-		}
-		if err == nil {
+		done, progress, err := try(c.bases[base])
+		switch e := err.(type) {
+		case nil:
+			// An answer in full, or in part: a stream the server's deadline
+			// cut, as its trailer says. That follows the contract; resume.
 			c.markBase(base, false)
-		}
-
-		switch {
-		case err != nil:
-			// Transport-level failure. Context expiry is the caller's
-			// deadline, not the server's health: don't retry, don't count
-			// it against the breaker. Other transport failures fail over:
-			// the retry goes to the next entry node (a no-op with one base).
-			if ctx.Err() != nil {
-				return meta, fmt.Errorf("client: %s: %w", path, ctx.Err())
-			}
-			c.markBase(base, true)
-			failovers++
-			c.breaker.failure()
-			lastErr = fmt.Errorf("client: %s: %w", path, err)
-		case status >= 200 && status < 300:
 			c.breaker.success()
-			meta.Status = status
-			meta.Cache = header.Get("X-Cache")
-			meta.Body = respBody
-			if out != nil {
-				if err := json.Unmarshal(respBody, out); err != nil {
-					return meta, fmt.Errorf("client: decoding %s response: %w", path, err)
-				}
+			if done {
+				return nil
 			}
-			return meta, nil
-		default:
-			apiErr := decodeAPIError(status, header, respBody)
-			meta.Status = status
-			if !retryable(status) || apiErr.Code == server.CodeDraining {
+			if !progress {
+				lastErr = fmt.Errorf("client: %s: stream stalled with no progress", path)
+			}
+		case *abort:
+			c.breaker.success()
+			return e.err
+		case *APIError:
+			c.markBase(base, false)
+			if !retryable(e.Status) || e.Code == server.CodeDraining {
 				// A well-formed rejection (4xx) is not a service failure:
 				// it closes the breaker like a success. Draining is the
 				// same deliberate kind of answer — the node is going away
@@ -396,17 +388,33 @@ func (c *Client) Call(ctx context.Context, path, requestID string, in, out any) 
 				// (the peer forwarder above all) should fall back now, not
 				// burn retries against it.
 				c.breaker.success()
-				return meta, fmt.Errorf("client: %s: %w", path, apiErr)
+				return fmt.Errorf("client: %s: %w", path, e)
 			}
 			c.breaker.failure()
-			lastErr = fmt.Errorf("client: %s: %w", path, apiErr)
+			lastErr = fmt.Errorf("client: %s: %w", path, e)
+		default:
+			// Context expiry is the caller's deadline, not the server's
+			// health: don't retry, don't count it against the breaker.
+			// Other transport failures fail over: the retry goes to the
+			// next entry node (a no-op with one base).
+			if ctx.Err() != nil {
+				return fmt.Errorf("client: %s: %w", path, ctx.Err())
+			}
+			c.markBase(base, true)
+			failovers++
+			c.breaker.failure()
+			lastErr = fmt.Errorf("client: %s: %w", path, err)
 		}
-
-		if attempt >= c.opts.MaxRetries {
-			return meta, lastErr
+		if progress {
+			budget = c.opts.MaxRetries
+			continue
 		}
+		if budget == 0 {
+			return lastErr
+		}
+		budget--
 		if err := c.sleepBackoff(ctx, attempt, retryAfterOf(lastErr)); err != nil {
-			return meta, err
+			return err
 		}
 	}
 }
@@ -422,11 +430,16 @@ func retryable(status int) bool {
 	return false
 }
 
-// roundTrip performs one wire attempt against base.
-func (c *Client) roundTrip(ctx context.Context, base, path, id string, body []byte) (int, http.Header, []byte, error) {
+// send makes one wire attempt: it POSTs body to base+path with the call's
+// headers and reports the attempt to the Observer. resp is non-nil when
+// the server answered. A non-2xx answer is read and returned as an
+// *APIError. A 2xx body is read into the returned bytes when buffer is set
+// (a plain call), and otherwise left open for the caller to consume and
+// close (a stream segment, which the Observer sees without its body).
+func (c *Client) send(ctx context.Context, base, path, id string, body []byte, buffer bool) (*http.Response, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Request-ID", id)
@@ -436,15 +449,28 @@ func (c *Client) roundTrip(ctx context.Context, base, path, id string, body []by
 		}
 	}
 	resp, err := c.opts.HTTPClient.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
+	ok := err == nil && resp.StatusCode/100 == 2
+	var b []byte
+	if err == nil && (buffer || !ok) {
+		b, err = readBody(resp)
+		resp.Body.Close()
 	}
-	defer resp.Body.Close()
-	b, err := readBody(resp)
 	if err != nil {
-		return 0, nil, nil, err
+		c.observe(Attempt{Path: path, RequestID: id, Err: err})
+		return nil, nil, err
 	}
-	return resp.StatusCode, resp.Header, b, nil
+	c.observe(Attempt{Path: path, RequestID: id, Status: resp.StatusCode, Header: resp.Header, Body: b})
+	if !ok {
+		return resp, nil, decodeAPIError(resp.StatusCode, resp.Header, b)
+	}
+	return resp, b, nil
+}
+
+// observe reports one wire attempt to Options.Observer, if set.
+func (c *Client) observe(a Attempt) {
+	if ob := c.opts.Observer; ob != nil {
+		ob(a)
+	}
 }
 
 // readBody drains a response. When the server declared a (sane) length,

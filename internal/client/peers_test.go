@@ -28,7 +28,9 @@ func deadBaseURL(t *testing.T) string {
 	return url
 }
 
-// okHandler answers 200 {} and records every X-Request-ID it sees.
+// okHandler answers 200 with an empty grid's summary trailer, a whole
+// stream for Sweep and a JSON body for Post, and records every
+// X-Request-ID it sees.
 type okHandler struct {
 	mu  sync.Mutex
 	ids []string // guarded by mu
@@ -39,7 +41,7 @@ func (h *okHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ids = append(h.ids, r.Header.Get("X-Request-ID"))
 	h.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	w.Write([]byte("{}\n"))
+	w.Write([]byte(`{"kind":"summary","points":0,"complete":true}` + "\n"))
 }
 
 func (h *okHandler) seen() []string {
@@ -112,35 +114,52 @@ func TestRoundRobinSpreadsCalls(t *testing.T) {
 // TestDeadBaseSkipped: a dead entry node gets the first attempt of a call
 // only until its transport failure is recorded; for the breaker's OpenFor
 // after that, calls start at the live nodes. Without the skip it takes the
-// first attempt of every third call.
+// first attempt of every third call. Plain calls and streams share it.
 func TestDeadBaseSkipped(t *testing.T) {
-	a, b := &okHandler{}, &okHandler{}
-	tsA, tsB := httptest.NewServer(a), httptest.NewServer(b)
-	defer tsA.Close()
-	defer tsB.Close()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		call func(*Client) error
+	}{
+		{"post", func(c *Client) error {
+			_, err := c.Post(ctx, "/x", map[string]any{}, nil)
+			return err
+		}},
+		{"sweep", func(c *Client) error {
+			_, err := c.Sweep(ctx, server.SweepRequest{}, nil)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := &okHandler{}, &okHandler{}
+			tsA, tsB := httptest.NewServer(a), httptest.NewServer(b)
+			defer tsA.Close()
+			defer tsB.Close()
 
-	var mu sync.Mutex
-	dead := 0
-	c := NewMulti([]string{tsA.URL, deadBaseURL(t), tsB.URL}, Options{
-		MaxRetries: 3, BaseBackoff: 1, MaxBackoff: 1, OpenFor: time.Minute,
-		Observer: func(at Attempt) {
-			if at.Err != nil {
-				mu.Lock()
-				dead++
-				mu.Unlock()
+			var mu sync.Mutex
+			dead := 0
+			c := NewMulti([]string{tsA.URL, deadBaseURL(t), tsB.URL}, Options{
+				MaxRetries: 3, BaseBackoff: 1, MaxBackoff: 1, OpenFor: time.Minute,
+				Observer: func(at Attempt) {
+					if at.Err != nil {
+						mu.Lock()
+						dead++
+						mu.Unlock()
+					}
+				},
+			})
+			for i := 0; i < 30; i++ {
+				if err := tc.call(c); err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
 			}
-		},
-	})
-	for i := 0; i < 30; i++ {
-		if _, err := c.Post(context.Background(), "/x", map[string]any{}, nil); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-	}
-	if dead > 2 {
-		t.Errorf("%d attempts reached the dead base in 30 calls, want at most 2", dead)
-	}
-	if got := len(a.seen()) + len(b.seen()); got != 30 {
-		t.Errorf("live nodes served %d calls, want 30", got)
+			if dead > 2 {
+				t.Errorf("%d attempts reached the dead base in 30 calls, want at most 2", dead)
+			}
+			if got := len(a.seen()) + len(b.seen()); got != 30 {
+				t.Errorf("live nodes served %d calls, want 30", got)
+			}
+		})
 	}
 }
 

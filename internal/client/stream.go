@@ -8,17 +8,17 @@ package client
 // first point it has not received — only the un-received tail is
 // retried, never already-delivered points. Totals are accumulated
 // client-side from the lines themselves, so a multi-segment stream
-// reports the same counters a single uninterrupted one would.
+// reports the same counters a single uninterrupted one would. Each
+// segment is one attempt of the client's retry loop (client.go), the one
+// Post and Call use: the same breaker, failover and backoff, and the same
+// rule that a draining answer ends the call at once.
 
 import (
 	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
 
 	"memhier/internal/server"
 )
@@ -59,132 +59,41 @@ func (c *Client) Batch(ctx context.Context, req server.BatchRequest, fn func(ser
 	}, fn)
 }
 
-// callbackError marks an error raised by the caller's line callback:
-// it aborts the stream and is never retried.
-type callbackError struct{ err error }
-
-func (e *callbackError) Error() string { return e.err.Error() }
-func (e *callbackError) Unwrap() error { return e.err }
-
-// stream drives segments until the grid is fully delivered. Retry
-// policy mirrors Post — breaker, full-jitter backoff, Retry-After on
-// shed segments — with one streaming-specific twist: a segment that
-// delivered new lines resets the retry budget, so a long grid is never
-// abandoned because its *total* interruptions exceeded MaxRetries; only
-// MaxRetries consecutive zero-progress attempts give up.
+// stream drives segments until the grid is fully delivered. Each
+// segment is one exchange of the retry loop Call uses, so a stream gets
+// the same breaker, failover, full-jitter backoff and Retry-After
+// handling; a segment that delivered new lines refreshes the retry
+// budget, so a long grid is never abandoned because its *total*
+// interruptions exceeded MaxRetries, only after MaxRetries attempts in a
+// row that delivered nothing.
 func (c *Client) stream(ctx context.Context, path string, offset int, build func(int) any, fn func(server.SweepLine) error) (StreamResult, error) {
 	id := c.nextRequestID()
 	res := StreamResult{RequestID: id}
 	next := offset
-	retriesLeft := c.opts.MaxRetries
-	start := c.startBase()
-	failovers := 0
-	var lastErr error
-
-	for attempt := 0; ; attempt++ {
-		if err := c.breaker.allow(); err != nil {
-			if lastErr != nil {
-				return res, fmt.Errorf("%w (last failure: %w)", err, lastErr)
-			}
-			return res, err
-		}
+	err := c.retry(ctx, path, &res.Attempts, func(base string) (bool, bool, error) {
 		body, err := json.Marshal(build(next))
 		if err != nil {
-			return res, fmt.Errorf("client: encoding %s request: %w", path, err)
+			return false, false, &abort{fmt.Errorf("client: encoding %s request: %w", path, err)}
 		}
-		res.Attempts++
 		before := next
-		base := c.pickBase(start, failovers)
-		done, err := c.streamSegment(ctx, c.bases[base], path, id, body, &res, &next, fn)
-		switch {
-		case done:
-			c.markBase(base, false)
-			c.breaker.success()
-			return res, nil
-		case err == nil:
-			// Well-formed but incomplete: the server's deadline cut the
-			// stream and said so in the trailer. That is contract-following
-			// behavior, not a failure — resume the tail.
-			c.markBase(base, false)
-			c.breaker.success()
-		case ctx.Err() != nil:
-			// The caller's deadline, not the server's health.
-			return res, fmt.Errorf("client: %s: %w", path, ctx.Err())
-		default:
-			var abort *callbackError
-			if errors.As(err, &abort) {
-				c.breaker.success()
-				return res, abort.err
-			}
-			var apiErr *APIError
-			if errors.As(err, &apiErr) && !retryable(apiErr.Status) {
-				// A well-formed rejection closes the breaker like a success.
-				c.breaker.success()
-				return res, fmt.Errorf("client: %s: %w", path, apiErr)
-			}
-			if apiErr == nil {
-				// Transport-level failure: the resumed tail goes to the
-				// next entry node (a no-op with a single base).
-				c.markBase(base, true)
-				failovers++
-			}
-			c.breaker.failure()
-			lastErr = fmt.Errorf("client: %s: %w", path, err)
-		}
-
-		if next > before {
-			retriesLeft = c.opts.MaxRetries
-			continue // progress: resume immediately, budget refreshed
-		}
-		if retriesLeft == 0 {
-			if lastErr != nil {
-				return res, lastErr
-			}
-			return res, fmt.Errorf("client: %s: stream stalled at point %d with no progress", path, next)
-		}
-		retriesLeft--
-		if err := c.sleepBackoff(ctx, attempt, retryAfterOf(lastErr)); err != nil {
-			return res, err
-		}
-	}
+		done, err := c.segment(ctx, base, path, id, body, &res, &next, fn)
+		return done, next > before, err
+	})
+	return res, err
 }
 
-// streamSegment performs one wire attempt and consumes its NDJSON body.
-// It returns done=true when the summary trailer confirmed the full grid
-// was delivered, and (false, nil) when a well-formed trailer reported an
+// segment performs one wire attempt and consumes its NDJSON body. It
+// returns done=true when the summary trailer confirmed the full grid was
+// delivered, and (false, nil) when a well-formed trailer reported an
 // incomplete stream. next advances past every line delivered to fn, so
-// the caller resumes exactly at the first missing point.
-func (c *Client) streamSegment(ctx context.Context, base, path, id string, body []byte, res *StreamResult, next *int, fn func(server.SweepLine) error) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
+// the caller resumes exactly at the first missing point. An fn error
+// comes back as an *abort.
+func (c *Client) segment(ctx context.Context, base, path, id string, body []byte, res *StreamResult, next *int, fn func(server.SweepLine) error) (bool, error) {
+	resp, _, err := c.send(ctx, base, path, id, body, false)
 	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-ID", id)
-	for k, vs := range c.opts.Header {
-		for _, v := range vs {
-			req.Header.Set(k, v)
-		}
-	}
-	resp, err := c.opts.HTTPClient.Do(req)
-	if err != nil {
-		if ob := c.opts.Observer; ob != nil {
-			ob(Attempt{Path: path, RequestID: id, Err: err})
-		}
 		return false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		if ob := c.opts.Observer; ob != nil {
-			ob(Attempt{Path: path, RequestID: id, Status: resp.StatusCode, Header: resp.Header, Body: b})
-		}
-		return false, decodeAPIError(resp.StatusCode, resp.Header, b)
-	}
-	if ob := c.opts.Observer; ob != nil {
-		// Streaming bodies are not buffered for the observer.
-		ob(Attempt{Path: path, RequestID: id, Status: resp.StatusCode, Header: resp.Header})
-	}
 	res.Segments++
 
 	sc := bufio.NewScanner(resp.Body)
@@ -239,7 +148,7 @@ func (c *Client) streamSegment(ctx context.Context, base, path, id string, body 
 		}
 		if fn != nil {
 			if err := fn(line); err != nil {
-				return false, &callbackError{err: err}
+				return false, &abort{err}
 			}
 		}
 	}

@@ -76,7 +76,7 @@ func TestSweepStreamMatchesPredict(t *testing.T) {
 			if line.Kind != "predict" {
 				t.Fatalf("point %d kind = %q", line.Index, line.Kind)
 			}
-			_, meta, err := c.Predict(ctx, server.PredictRequest{Config: cfg, Workload: wl})
+			meta, err := c.Post(ctx, "/v1/predict", server.PredictRequest{Config: cfg, Workload: wl}, nil)
 			if err != nil {
 				t.Fatalf("Predict %s/%s: %v", cfg.Name, wl.Name, err)
 			}
@@ -133,7 +133,7 @@ func TestBatchStreamMixedPoints(t *testing.T) {
 		t.Fatalf("invalid point line = %+v, want a 400 error line", lines[1])
 	}
 	for _, i := range []int{0, 2} {
-		_, meta, err := c.Predict(ctx, req.Requests[i])
+		meta, err := c.Post(ctx, "/v1/predict", req.Requests[i], nil)
 		if err != nil {
 			t.Fatalf("Predict point %d: %v", i, err)
 		}
@@ -297,6 +297,33 @@ func TestSweepNonRetryableStatusFails(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("400 was retried: %d calls", calls.Load())
+	}
+}
+
+// TestSweepDrainingNotRetried: a draining node's 429 ends a stream after
+// one attempt, as it ends a plain call (TestDrainingNotRetried), and is
+// no breaker failure: retrying it would only sleep through Retry-After
+// hints from a node that is going away.
+func TestSweepDrainingNotRetried(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Retry-After", "1")
+		jsonError(w, http.StatusTooManyRequests, server.CodeDraining, "server: draining: not accepting new work")
+	}))
+	t.Cleanup(ts.Close)
+
+	c := New(ts.URL, Options{MaxRetries: 3, FailureThreshold: 1, RetryAfterCap: 10 * time.Millisecond})
+	res, err := c.Sweep(context.Background(), server.SweepRequest{Workloads: []server.WorkloadSpec{{Name: "fft"}}}, nil)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != server.CodeDraining {
+		t.Fatalf("error %v, want APIError with code draining", err)
+	}
+	if res.Attempts != 1 || calls.Load() != 1 {
+		t.Fatalf("attempts=%d calls=%d, want 1 wire attempt against a draining node", res.Attempts, calls.Load())
+	}
+	if c.BreakerOpen() {
+		t.Fatal("draining answer opened the breaker")
 	}
 }
 

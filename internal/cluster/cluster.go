@@ -51,11 +51,12 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round trip (default 1s).
 	ProbeTimeout time.Duration
-	// ClientOptions tunes the per-peer forwarding clients. The hop
-	// marker header and single-base targeting are overlaid per peer;
-	// retries default to 1 — the fallback ladder (next owner, then local
-	// compute) is the real retry policy, so burning a full retry budget
-	// per peer only adds latency.
+	// ClientOptions tunes the per-peer clients. The hop marker header
+	// and single-base targeting are overlaid per peer; retries default
+	// to 1 — the fallback ladder (next owner, then local compute) is the
+	// real retry policy, so burning a full retry budget per peer only
+	// adds latency. Their HTTPClient carries the /readyz probes as well
+	// as forwards.
 	ClientOptions client.Options
 }
 
@@ -67,13 +68,11 @@ type Cluster struct {
 	replicas int
 	ring     *ring.Ring
 
-	// clients and urls are immutable after New (no lock needed).
+	// clients is immutable after New (no lock needed).
 	clients map[string]*client.Client
-	urls    map[string]string
 
 	probeEvery   time.Duration
 	probeTimeout time.Duration
-	httpClient   *http.Client
 
 	mu      sync.Mutex
 	healthy map[string]bool   // guarded by mu; last probe verdict per peer
@@ -127,7 +126,6 @@ func New(cfg Config) (*Cluster, error) {
 		replicas:     cfg.Replicas,
 		ring:         r,
 		clients:      make(map[string]*client.Client, len(names)-1),
-		urls:         make(map[string]string, len(names)),
 		probeEvery:   cfg.ProbeInterval,
 		probeTimeout: cfg.ProbeTimeout,
 		healthy:      make(map[string]bool, len(names)-1),
@@ -148,12 +146,7 @@ func New(cfg Config) (*Cluster, error) {
 	// computes locally and, when draining, answers the draining body the
 	// client treats as non-retryable.
 	opts.Header.Set(server.ForwardedHeader, cfg.Self)
-	c.httpClient = opts.HTTPClient
-	if c.httpClient == nil {
-		c.httpClient = &http.Client{Timeout: cfg.ProbeTimeout}
-	}
 	for _, name := range names {
-		c.urls[name] = cfg.Peers[name]
 		if name == cfg.Self {
 			continue
 		}
@@ -192,10 +185,11 @@ func (c *Cluster) Stop() {
 	c.wg.Wait()
 }
 
-// Probe runs one health round: every peer's /readyz, in parallel,
-// bounded by the probe timeout. A node that answers anything but 200 —
-// including the draining 503 — is marked unusable for placement until a
-// later round clears it.
+// Probe runs one health round: every peer's /readyz through its peer
+// client's Ready, in parallel, bounded by the probe timeout. A node that
+// answers anything but 200 — including the draining 503 — is marked
+// unusable for placement until a later round clears it. Ready touches no
+// breaker, so a failed probe never trips the data path's.
 func (c *Cluster) Probe(ctx context.Context) {
 	ctx, cancel := context.WithTimeout(ctx, c.probeTimeout)
 	defer cancel()
@@ -204,7 +198,7 @@ func (c *Cluster) Probe(ctx context.Context) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			err := c.probeOne(ctx, name)
+			err := c.clients[name].Ready(ctx)
 			c.mu.Lock()
 			c.healthy[name] = err == nil
 			if err != nil {
@@ -220,25 +214,6 @@ func (c *Cluster) Probe(ctx context.Context) {
 	c.mu.Lock()
 	c.probes++
 	c.mu.Unlock()
-}
-
-// probeOne checks one peer's /readyz with the cluster's probe transport
-// (not the forwarding client: a probe must not trip the data-path
-// breaker, and must see draining as unready, not as an error to retry).
-func (c *Cluster) probeOne(ctx context.Context, name string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.urls[name]+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("readyz returned %d", resp.StatusCode)
-	}
-	return nil
 }
 
 // ---- server.PeerForwarder ----

@@ -421,6 +421,44 @@ func TestFailedProbesSurviveRecovery(t *testing.T) {
 	}
 }
 
+// TestFailedProbesLeaveBreakerClosed: probes go through the peer client
+// but never feed its breaker. Three failed probes against a client whose
+// breaker opens on one failure mark the peer unhealthy and leave the
+// breaker closed, and once the peer answers 200 a forward reaches it.
+func TestFailedProbesLeaveBreakerClosed(t *testing.T) {
+	var readyz, forwards atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			if readyz.Add(1) <= 3 {
+				w.WriteHeader(http.StatusServiceUnavailable)
+			}
+			return
+		}
+		forwards.Add(1)
+		w.Write([]byte("{}"))
+	}))
+	defer ts.Close()
+	c, err := New(Config{
+		Self: "a", Peers: map[string]string{"a": "http://unused.invalid", "b": ts.URL},
+		ClientOptions: client.Options{FailureThreshold: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		c.Probe(context.Background())
+	}
+	view := c.Stats()["peers"].(map[string]any)["b"].(map[string]any)
+	if view["healthy"] != false || view["failed_probes"] != uint64(3) || view["breaker_open"] != false {
+		t.Fatalf("peer view after three 503 probes = %v, want healthy=false failed_probes=3 breaker_open=false", view)
+	}
+	c.Probe(context.Background())
+	res, err := c.Forward(context.Background(), "b", "/v1/predict", "probe-test", []byte("{}"))
+	if err != nil || res.Status != http.StatusOK || forwards.Load() != 1 {
+		t.Fatalf("forward after recovery: %+v, %v, %d forwards, want one 200", res, err, forwards.Load())
+	}
+}
+
 // TestNewRejectsBadMembership: config validation.
 func TestNewRejectsBadMembership(t *testing.T) {
 	if _, err := New(Config{Self: "a", Peers: map[string]string{"b": "http://x"}}); err == nil {

@@ -6,9 +6,14 @@
 # Usage: scripts/lint.sh [chc-lint flags] [packages...]
 # Arguments pass straight through to chc-lint (which defaults to ./...),
 # so `scripts/lint.sh -json` works for tooling.
+#
+# The binary is built into a fresh temporary directory, removed on exit,
+# so runs side by side (say, of two checkouts) never share one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go build -o /tmp/chc-lint ./cmd/chc-lint
-/tmp/chc-lint "$@"
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/chc-lint" ./cmd/chc-lint
+"$bin/chc-lint" "$@"
 echo "chc-lint: clean"
