@@ -122,7 +122,7 @@ type sharingAccumulator struct {
 	pos         []int          // per CPU: stream position of its next event
 	lastCompute []bool         // per CPU: its last stored event is a compute gap
 	pend        []orderQueue   // per CPU: references waiting for their turn
-	free        *refBlock      // drained order-buffer blocks, for reuse
+	pool        *refPool       // where order-buffer blocks come from and go back to
 	k, c        int            // cursor: the next (position, cpu) slot to apply
 	done        bool           // the stream has ended: unemitted slots are empty
 	end         int            // once done: the largest position, where advance stops
@@ -146,6 +146,32 @@ type refBlock struct {
 	next *refBlock
 }
 
+// refPool is a free list of order-buffer blocks. An accumulator takes
+// blocks from its pool and gives every one back by the end of stats, so
+// accumulators run one after another on one pool reuse its blocks.
+type refPool struct {
+	free   *refBlock
+	blocks int // blocks allocated over the pool's life
+}
+
+// get takes a block off the free list, or allocates one.
+func (p *refPool) get() *refBlock {
+	b := p.free
+	if b == nil {
+		p.blocks++
+		return new(refBlock)
+	}
+	p.free = b.next
+	b.next = nil
+	return b
+}
+
+// put returns a block to the free list.
+func (p *refPool) put(b *refBlock) {
+	b.next = p.free
+	p.free = b
+}
+
 // orderQueue is one processor's order buffer: a FIFO over a block chain.
 type orderQueue struct {
 	head, tail *refBlock
@@ -153,13 +179,15 @@ type orderQueue struct {
 }
 
 // newSharingAccumulator measures an nproc-processor stream under each
-// grouping of procsPerNode processors per machine.
+// grouping of procsPerNode processors per machine. Its blocks come from a
+// pool of its own; set pool to share one.
 func newSharingAccumulator(nproc int, procsPerNode ...int) *sharingAccumulator {
 	a := &sharingAccumulator{
 		groups:      make([]sharingGroup, len(procsPerNode)),
 		pos:         make([]int, nproc),
 		lastCompute: make([]bool, nproc),
 		pend:        make([]orderQueue, nproc),
+		pool:        new(refPool),
 	}
 	for i, pn := range procsPerNode {
 		a.groups[i] = newSharingGroup(nproc, pn)
@@ -230,13 +258,7 @@ func (a *sharingAccumulator) advance() {
 func (a *sharingAccumulator) push(cpu int, r pendingRef) {
 	q := &a.pend[cpu]
 	if q.tail == nil || q.ti == refBlockLen {
-		b := a.free
-		if b != nil {
-			a.free = b.next
-			b.next = nil
-		} else {
-			b = new(refBlock)
-		}
+		b := a.pool.get()
 		if q.tail == nil {
 			q.head, q.hi = b, 0
 		} else {
@@ -251,7 +273,7 @@ func (a *sharingAccumulator) push(cpu int, r pendingRef) {
 }
 
 // pop drops the head of cpu's order buffer; a drained block goes back to
-// the free list.
+// the pool.
 func (a *sharingAccumulator) pop(cpu int) {
 	a.buffered--
 	q := &a.pend[cpu]
@@ -263,8 +285,7 @@ func (a *sharingAccumulator) pop(cpu int) {
 	if q.head == nil {
 		q.tail = nil
 	}
-	b.next = a.free
-	a.free = b
+	a.pool.put(b)
 }
 
 // apply records one reference by cpu under every grouping.
@@ -283,9 +304,10 @@ func (a *sharingAccumulator) apply(cpu int, addr uint64, write bool) {
 	}
 }
 
-// stats ends the stream, applies every buffered reference and returns the
-// measurement under each grouping, in the order newSharingAccumulator took
-// them. No Emit may follow.
+// stats ends the stream, applies every buffered reference, returns every
+// order-buffer block to the pool, partly drained ones included, and
+// returns the measurement under each grouping, in the order
+// newSharingAccumulator took them. No Emit may follow.
 func (a *sharingAccumulator) stats() []SharingStats {
 	if len(a.pos) > 0 {
 		a.done = true
@@ -297,6 +319,15 @@ func (a *sharingAccumulator) stats() []SharingStats {
 			a.k--
 		}
 		a.advance()
+	}
+	for i := range a.pend {
+		q := &a.pend[i]
+		for b := q.head; b != nil; {
+			next := b.next
+			a.pool.put(b)
+			b = next
+		}
+		*q = orderQueue{}
 	}
 	out := make([]SharingStats, len(a.groups))
 	for i := range a.groups {

@@ -301,6 +301,47 @@ func TestSharingAccumulatorStreamsKernels(t *testing.T) {
 	}
 }
 
+// TestSharingAccumulatorReturnsBlocks: stats gives every order-buffer
+// block the accumulator took back to its pool, partly drained head blocks
+// included, and a second identical stream measured on the same pool
+// allocates no block and measures the same.
+func TestSharingAccumulatorReturnsBlocks(t *testing.T) {
+	w := workloads.NewLU(64, 8)
+	var pool refPool
+	measure := func() []SharingStats {
+		a := newSharingAccumulator(8, 2, 4)
+		a.pool = &pool
+		if err := w.Run(8, a); err != nil {
+			t.Fatal(err)
+		}
+		if a.peak == 0 {
+			t.Fatal("the stream buffered nothing")
+		}
+		return a.stats()
+	}
+	free := func() int {
+		n := 0
+		for b := pool.free; b != nil; b = b.next {
+			n++
+		}
+		return n
+	}
+	first := measure()
+	if pool.blocks == 0 || free() != pool.blocks {
+		t.Errorf("after stats %d of %d blocks are back in the pool", free(), pool.blocks)
+	}
+	allocated := pool.blocks
+	if second := measure(); !slices.Equal(second, first) {
+		t.Errorf("second pass measured %+v, first %+v", second, first)
+	}
+	if pool.blocks != allocated {
+		t.Errorf("second pass allocated %d blocks", pool.blocks-allocated)
+	}
+	if free() != pool.blocks {
+		t.Errorf("after the second pass %d of %d blocks are back in the pool", free(), pool.blocks)
+	}
+}
+
 // phaseBound returns the references of the trace's largest barrier phase,
 // summed over processors, and the drift: how far the processors' event
 // counts spread, summed over processors.

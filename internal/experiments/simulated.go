@@ -52,10 +52,11 @@ type streamPass struct {
 }
 
 // simulate runs one streamed generator pass per (workload, processor
-// count) of the set over a bounded worker pool sized by runtime.NumCPU.
-// Each pass drives every config of its processor count and the sharing
-// measurement of every node grouping those configs use, so no trace is
-// ever stored and each kernel runs once per processor count.
+// count) of the set on runtime.NumCPU long-lived workers. Each pass drives
+// every config of its processor count and the sharing measurement of every
+// node grouping those configs use, so no trace is ever stored and each
+// kernel runs once per processor count. A worker owns its pass state and
+// carries it from one pass to the next.
 func (s *Suite) simulate(set []machine.Config) (*simulatedSide, error) {
 	var nprocs []int
 	byProcs := map[int][]machine.Config{}
@@ -79,18 +80,23 @@ func (s *Suite) simulate(set []machine.Config) (*simulatedSide, error) {
 
 	points := make([][]simPoint, len(passes))
 	errs := make([]error, len(passes))
-	sem := make(chan struct{}, runtime.NumCPU())
+	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for i := range passes {
+	for range min(runtime.NumCPU(), len(passes)) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			s.passes.Add(1)
-			points[i], errs[i] = passes[i].run()
-		}(i)
+			var st passState
+			for i := range jobs {
+				s.passes.Add(1)
+				points[i], errs[i] = passes[i].run(&st)
+			}
+		}()
 	}
+	for i := range passes {
+		jobs <- i
+	}
+	close(jobs)
 	wg.Wait()
 	side := &simulatedSide{points: map[string]simPoint{}}
 	for i, p := range passes {
@@ -104,10 +110,18 @@ func (s *Suite) simulate(set []machine.Config) (*simulatedSide, error) {
 	return side, nil
 }
 
+// passState is the storage a simulate worker reuses from one pass to the
+// next: the streamed run's phase buffer and the sharing accumulator's
+// order-buffer blocks.
+type passState struct {
+	phases backend.PhaseBuffer
+	refs   refPool
+}
+
 // run streams the pass's workload once into a simulator per config and
 // one sharing accumulator over the node groupings of the multi-machine
 // configs, returning one point per config.
-func (p streamPass) run() ([]simPoint, error) {
+func (p streamPass) run(st *passState) ([]simPoint, error) {
 	systems := make([]*backend.System, len(p.cfgs))
 	group := make([]int, len(p.cfgs)) // index into perNode, or -1 on one machine
 	var perNode []int
@@ -128,12 +142,13 @@ func (p streamPass) run() ([]simPoint, error) {
 		}
 	}
 	acc := newSharingAccumulator(p.nproc, perNode...)
+	acc.pool = &st.refs
 	results, err := backend.StreamRunAll(systems, p.nproc, func(sink trace.Sink) error {
 		if len(perNode) == 0 {
 			return p.w.Run(p.nproc, sink)
 		}
 		return p.w.Run(p.nproc, trace.TeeSink{sink, acc})
-	}, hintOpts(p.w, p.nproc)...)
+	}, backend.WithPhaseBuffer(&st.phases))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sim %s on %d processors: %w", p.w.Name(), p.nproc, err)
 	}
@@ -159,17 +174,5 @@ func StreamSimulate(w workloads.Workload, cfg machine.Config) (backend.RunResult
 	nproc := cfg.TotalProcs()
 	return backend.StreamRun(sys, nproc, func(sink trace.Sink) error {
 		return w.Run(nproc, sink)
-	}, hintOpts(w, nproc)...)
-}
-
-// hintOpts pre-sizes a streamed run's phase buffer from the workload's
-// event hint, when it has one. It passes the per-processor hint where
-// backend.WithEventHint expects a total, so each chunk starts nproc times
-// smaller than that option intends (LU on 8 processors: 11,520 ops against
-// a largest phase of about 39,000 events) and regrows by append.
-func hintOpts(w workloads.Workload, nproc int) []backend.StreamOption {
-	if h, ok := w.(workloads.EventHinter); ok {
-		return []backend.StreamOption{backend.WithEventHint(h.EventHint(nproc))}
-	}
-	return nil
+	})
 }

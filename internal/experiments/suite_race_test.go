@@ -130,3 +130,20 @@ func TestReproductionStreamsOncePerPair(t *testing.T) {
 		t.Errorf("characterization runs = %d, want 4", got)
 	}
 }
+
+// BenchmarkValidationMatrix is the simulated side of the full reproduction:
+// a fresh Suite streams all 12 passes (4 kernels × 2, 4, 8 processors) of
+// C1–C15 into their simulators and sharing measurements. With -benchmem it
+// shows what the in-flight buffers of a streamed pass cost.
+func BenchmarkValidationMatrix(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSuite(Options{})
+		if _, err := s.simulated(machine.Catalog()); err != nil {
+			b.Fatal(err)
+		}
+		if got := s.passes.Load(); got != 12 {
+			b.Fatalf("streamed passes = %d, want 12", got)
+		}
+	}
+}

@@ -74,12 +74,15 @@ func Run(tr *trace.Trace, sys *System) (RunResult, error) {
 	if err := checkTrace(tr, sys); err != nil {
 		return RunResult{}, err
 	}
-	ops := make([][]trace.Op, tr.NumCPU())
+	// Each processor's chain is its whole stream, as one block.
+	blocks := make([][]trace.Op, tr.NumCPU())
+	chains := make([][][]trace.Op, tr.NumCPU())
 	for i, s := range tr.Streams {
 		var err error
-		if ops[i], err = s.Ops(); err != nil {
+		if blocks[i], err = s.Ops(); err != nil {
 			return RunResult{}, fmt.Errorf("backend: %w", err)
 		}
+		chains[i] = blocks[i : i+1 : i+1]
 	}
 	phaseCap := 0
 	if nb := tr.Streams[0].Barriers(); nb > 0 {
@@ -87,8 +90,8 @@ func Run(tr *trace.Trace, sys *System) (RunResult, error) {
 		// growth chain (PhaseStats is a couple hundred bytes).
 		phaseCap = int(nb) + 1
 	}
-	r := newRunner(sys, len(ops), phaseCap)
-	r.phase(ops)
+	r := newRunner(sys, len(chains), phaseCap)
+	r.phase(chains)
 	return r.finish(tr.Instructions())
 }
 
@@ -100,7 +103,7 @@ type clock interface{ ~uint64 | ~float64 }
 // phaseRunner is the engine as Run and StreamRun drive it: phase once per
 // batch of compiled ops, then finish.
 type phaseRunner interface {
-	phase(ops [][]trace.Op)
+	phase(chains [][][]trace.Op)
 	finish(instructions uint64) (RunResult, error)
 }
 
@@ -128,14 +131,20 @@ type engine[C clock] struct {
 	latInstr  C
 	latHit    C
 
-	// Per processor. ops[cpu] is the current phase's compiled ops and
-	// nexts[cpu] the next one to execute. ready[cpu] is the scan key: a
-	// lower bound on when the processor next touches shared machinery, or
-	// inf while it is blocked at a barrier or out of ops. clocks[cpu] is its
-	// committed clock: for a processor parked on a gated reference, ready
-	// holds the reference's contention time while clocks stays at the clock
-	// the compute advance will be recomputed from. hitNs[cpu] counts private
-	// hits whose counter updates flush has not applied yet.
+	// Per processor. chains[cpu] is the current phase's compiled ops, one
+	// block after another; blks[cpu] indexes the block being executed,
+	// ops[cpu] is that block and nexts[cpu] the next op in it. Every block
+	// of a chain but the first holds at least one op, so the op after the
+	// end of a block is the next block's first. ready[cpu] is the scan
+	// key: a lower bound on when the processor next touches shared
+	// machinery, or inf while it is blocked at a barrier or out of ops.
+	// clocks[cpu] is its committed clock: for a processor parked on a
+	// gated reference, ready holds the reference's contention time while
+	// clocks stays at the clock the compute advance will be recomputed
+	// from. hitNs[cpu] counts private hits whose counter updates flush has
+	// not applied yet.
+	chains [][][]trace.Op
+	blks   []int
 	ops    [][]trace.Op
 	nexts  []int
 	ready  []C
@@ -159,6 +168,8 @@ func newEngine[C clock](sys *System, nproc, phaseCap int, inf C) *engine[C] {
 		inf:      inf,
 		latInstr: C(sys.lat.Instruction),
 		latHit:   C(sys.lat.CacheHit),
+		chains:   make([][][]trace.Op, nproc),
+		blks:     make([]int, nproc),
 		ops:      make([][]trace.Op, nproc),
 		nexts:    make([]int, nproc),
 		ready:    make([]C, nproc),
@@ -173,24 +184,31 @@ func newEngine[C clock](sys *System, nproc, phaseCap int, inf C) *engine[C] {
 }
 
 // key is processor i's scan key at committed clock c: c advanced past the
-// compute gap of the processor's next op (see the batch-end park in run).
+// compute gap of the processor's next op, which is the next block's first
+// at the end of a block (see the batch-end park in run).
 func (e *engine[C]) key(i int, c C) C {
 	if n, ops := e.nexts[i], e.ops[i]; n < len(ops) {
 		c += C(ops[n].N) * e.latInstr
+	} else if b := e.blks[i] + 1; b < len(e.chains[i]) {
+		c += C(e.chains[i][b][0].N) * e.latInstr
 	}
 	return c
 }
 
-// phase executes one compiled op list per processor, barriers in-stream,
-// until every list is exhausted. Run passes whole streams; StreamRun passes
-// one barrier-delimited chunk per processor at a time. A barrier op carries
-// the compute gap before it, so chunks that end at a barrier concatenate to
-// the whole-stream compile and both drives retire the same work in the same
-// order.
-func (e *engine[C]) phase(ops [][]trace.Op) {
-	copy(e.ops, ops)
+// phase executes one chain of compiled op blocks per processor, barriers
+// in-stream, until every chain is exhausted. Run passes each whole stream
+// as one block; StreamRun passes one barrier-delimited phase per processor
+// at a time, in the phase buffer's fixed blocks. A barrier op carries the
+// compute gap before it, so phases that end at a barrier concatenate to the
+// whole-stream compile, and a block boundary splits nothing: both drives
+// retire the same work in the same order.
+func (e *engine[C]) phase(chains [][][]trace.Op) {
+	copy(e.chains, chains)
 	for i := range e.ready {
-		e.nexts[i] = 0
+		e.blks[i], e.nexts[i], e.ops[i] = 0, 0, nil
+		if len(e.chains[i]) > 0 {
+			e.ops[i] = e.chains[i][0]
+		}
 		e.ready[i] = e.key(i, e.clocks[i])
 	}
 	e.run()
@@ -255,6 +273,19 @@ outer:
 		ways := h.Ways
 		for {
 			if next >= len(ops) {
+				if b := e.blks[bi] + 1; b < len(e.chains[bi]) {
+					// End of a block: park on the next block's first op, as
+					// the batch-end park does, and let the scan resume it.
+					// Switching in place would make ops loop-carried, which
+					// costs the loop spills on every op.
+					e.blks[bi] = b
+					e.ops[bi] = e.chains[bi][b]
+					clocks[bi] = clock
+					nexts[bi] = 0
+					ready[bi] = e.key(bi, clock)
+					hitNs[bi] = hn
+					continue outer
+				}
 				// Out of ops; the processor halts at its current clock.
 				if clock > e.wall {
 					e.wall = clock
@@ -396,6 +427,8 @@ outer:
 				key := clock
 				if next < len(ops) {
 					key += C(ops[next].N) * latInstr
+				} else {
+					key = e.key(bi, clock) // the peek crosses into the next block
 				}
 				ready[bi] = key
 				hitNs[bi] = hn

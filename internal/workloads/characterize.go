@@ -77,8 +77,11 @@ func Characterize(w Workload, opts CharacterizeOptions) (Characterization, error
 	return cs[0], nil
 }
 
-// chunkEvents is the fan-out granule of a characterization pass.
-const chunkEvents = 1 << 15
+// chunkEvents is the fan-out granule of a characterization pass: 4096
+// events, 96 KiB. A pass holds at most depth+2 chunks (see
+// CharacterizeLines), so the granule sets its slack; at 4096 the
+// consumers stay as busy as at 1<<15 for an eighth of the memory.
+const chunkEvents = 1 << 12
 
 // chunk is one fan-out batch of events, shared read-only by every
 // consumer; the last consumer to finish with it recycles it.
@@ -92,7 +95,9 @@ type chunk struct {
 // from one run of the kernel; opts.LineSize is ignored. Element i equals
 // Characterize(w, opts) with LineSize lineSizes[i]: the conflict factor κ
 // is measured once and shared, and its 64-byte-line fully associative
-// baseline is the 64-byte analyzer when 64 is among the sizes.
+// baseline is the 64-byte analyzer when 64 is among the sizes. The
+// kernel's events fan out to the concurrent consumers in recycled chunks
+// of chunkEvents; the trace itself is never stored.
 func CharacterizeLines(w Workload, lineSizes []int, opts CharacterizeOptions) ([]Characterization, error) {
 	if len(lineSizes) == 0 {
 		return nil, fmt.Errorf("workloads: characterizing %s: no line sizes", w.Name())

@@ -7,10 +7,10 @@
 # resilient-client, cluster-serving, sweep/budget-optimization,
 # request-path constant (catalog lookup, priced design space) and
 # reproduction measurement-layer (characterization, per-CPU stack
-# distances, sharing and its streamed accumulator) benchmark families with
-# -benchtime=1x -count=3 (best-of-3 per benchmark; the families that need
-# more iterations say so below) and writes a JSON array
-# of {name, ns_op, allocs_op}. The output path comes from the argument,
+# distances, sharing and its streamed accumulator, the streamed validation
+# matrix) benchmark families with -benchtime=1x -count=3 (best-of-3 per
+# benchmark; the families that need more iterations say so below) and
+# writes a JSON array of {name, ns_op, allocs_op}. The output path comes from the argument,
 # else $BENCH_OUT; there is no default, so a run never overwrites a
 # tracked BENCH_*.json snapshot by accident. -short drops to -count=1: the
 # CI smoke mode that only proves the benchmarks still compile and run.
@@ -60,7 +60,9 @@ go test ./internal/cost -run '^$' -bench '^BenchmarkPricedSpace$' -benchtime=500
 go test ./internal/workloads -run '^$' -bench '^(BenchmarkCharacterizeLines|BenchmarkCharacterizeRadix|BenchmarkAnalyzeStreams)$' -benchtime=3x -count="$count" -benchmem | tee -a "$raw"
 # BenchmarkSharingAccumulator is BenchmarkMeasureSharing's streamed
 # counterpart; the pair measures what the order buffer costs.
-go test ./internal/experiments -run '^$' -bench '^(BenchmarkMeasureSharing|BenchmarkSharingAccumulator)$' -benchtime=3x -count="$count" -benchmem | tee -a "$raw"
+# BenchmarkValidationMatrix is the reproduction's whole simulated side (12
+# streamed passes), where the in-flight buffers of every layer add up.
+go test ./internal/experiments -run '^$' -bench '^(BenchmarkMeasureSharing|BenchmarkSharingAccumulator|BenchmarkValidationMatrix)$' -benchtime=3x -count="$count" -benchmem | tee -a "$raw"
 
 # Parallel benchmarks additionally run at fixed -cpu points so per-core
 # scaling is comparable across BENCH_*.json snapshots from different
