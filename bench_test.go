@@ -13,7 +13,6 @@ import (
 	"memhier/internal/core"
 	"memhier/internal/experiments"
 	"memhier/internal/machine"
-	"memhier/internal/sim/backend"
 	"memhier/internal/workloads"
 )
 
@@ -250,41 +249,6 @@ func BenchmarkAblationRescale(b *testing.B) {
 // exact closed-network MVA and reports the validation deviation.
 func BenchmarkAblationMVA(b *testing.B) {
 	benchAblation(b, func(o *experiments.Options) { o.Model.UseMVA = true })
-}
-
-// BenchmarkAblationProtocol compares the paper's MSI protocol against the
-// MESI extension on a 4-processor SMP running LU, reporting the wall-cycle
-// ratio (MSI/MESI ≥ 1: silent upgrades save bus transactions).
-func BenchmarkAblationProtocol(b *testing.B) {
-	cfg := machine.Config{Name: "smp4", Kind: machine.SMP, N: 1, Procs: 4,
-		CacheBytes: 16 << 10, MemoryBytes: 4 << 20, Net: machine.NetNone, ClockMHz: 200}
-	w := workloads.NewLU(96, 8)
-	tr, err := workloads.GenerateTrace(w, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msiSys, err := backend.NewSystemOpts(cfg, backend.SystemOptions{Protocol: backend.ProtocolMSI})
-		if err != nil {
-			b.Fatal(err)
-		}
-		msi, err := backend.Run(tr, msiSys)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mesiSys, err := backend.NewSystemOpts(cfg, backend.SystemOptions{Protocol: backend.ProtocolMESI})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mesi, err := backend.Run(tr, mesiSys)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = msi.WallCycles / mesi.WallCycles
-	}
-	b.ReportMetric(ratio, "msi/mesi")
 }
 
 // BenchmarkAblationGranularity compares characterization at item vs line

@@ -16,6 +16,8 @@
 //	           channel operation to block on
 //	hotalloc   //chc:hotpath functions avoid fmt, map iteration,
 //	           unpreallocated append, and interface boxing
+//	deadexport every exported function under internal/ has a non-test
+//	           reference somewhere in the module (whole-program)
 //
 // Usage:
 //
@@ -36,6 +38,7 @@ import (
 
 	"memhier/internal/lint"
 	"memhier/internal/lint/atomics"
+	"memhier/internal/lint/deadexport"
 	"memhier/internal/lint/detorder"
 	"memhier/internal/lint/errwrap"
 	"memhier/internal/lint/floateq"
@@ -48,6 +51,7 @@ import (
 // analyzers is the full suite, in stable output order.
 var analyzers = []*lint.Analyzer{
 	atomics.Analyzer,
+	deadexport.Analyzer,
 	detorder.Analyzer,
 	errwrap.Analyzer,
 	floateq.Analyzer,

@@ -90,10 +90,3 @@ func ReadWorkload(r io.Reader) (Workload, error) {
 	}
 	return w, nil
 }
-
-// WriteWorkload encodes the workload as indented JSON.
-func WriteWorkload(w io.Writer, wl Workload) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(wl)
-}

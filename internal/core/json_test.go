@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func TestWorkloadJSONRoundTrip(t *testing.T) {
 	in.ConflictCurve = []ConflictPoint{{CapacityItems: 64, Kappa: 3}, {CapacityItems: 1024, Kappa: 1.5}}
 
 	var buf bytes.Buffer
-	if err := WriteWorkload(&buf, in); err != nil {
+	if err := json.NewEncoder(&buf).Encode(in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadWorkload(&buf)

@@ -217,7 +217,7 @@ func TestMD1DivergesControlledlyAtGuard(t *testing.T) {
 
 	// At and beyond 1: saturated, guard or no guard.
 	for _, rho := range []float64{1.0, 1.5} {
-		_, err := queueing.MD1Response(tau, rho/tau)
+		_, err := queueing.MD1ResponseGuarded(tau, rho/tau, queueing.Guard{})
 		if !errors.Is(err, queueing.ErrSaturated) {
 			t.Errorf("rho %v unguarded: err = %v, want ErrSaturated", rho, err)
 		}

@@ -4,7 +4,7 @@ package cost
 // configuration under a Catalog, grouping and sorting them depends on
 // neither the workload nor the budget, so it is done once per
 // (space, catalog) value and shared by every search that follows —
-// Optimize, BudgetSweep, OptimizeBudgets and ParetoFront. On DefaultSpace
+// Optimize, BudgetSweep and OptimizeBudgets. On DefaultSpace
 // the build is about 1 ms and 800 KB, several times what the pruned
 // search spends evaluating the model.
 

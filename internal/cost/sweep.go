@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"memhier/internal/core"
-	"memhier/internal/machine"
 )
 
 // SweepPoint is one budget of a sweep: the winning configuration at that
@@ -19,6 +18,9 @@ type SweepPoint struct {
 
 // BudgetSweep runs the eq. 6 optimization at each budget (ascending) and
 // returns the winners. Budgets with no feasible configuration are skipped.
+// It is the brute-force reference OptimizeBudgets is tested against.
+//
+//chc:allow deadexport -- the reference the OptimizeBudgets tests compare against
 func BudgetSweep(budgets []float64, wl core.Workload, cat Catalog, space Space, opts core.Options) ([]SweepPoint, error) {
 	if len(budgets) == 0 {
 		return nil, fmt.Errorf("cost: empty budget list")
@@ -37,29 +39,4 @@ func BudgetSweep(budgets []float64, wl core.Workload, cat Catalog, space Space, 
 		return nil, fmt.Errorf("cost: no budget in the sweep is feasible")
 	}
 	return out, nil
-}
-
-// Crossover is a budget interval across which the winning platform family
-// changes — e.g. the workstation-cluster → SMP transition of the paper's
-// case studies.
-type Crossover struct {
-	LowBudget, HighBudget float64
-	From, To              machine.PlatformKind
-}
-
-// Crossovers extracts the platform-family transitions from a sweep.
-func Crossovers(points []SweepPoint) []Crossover {
-	var out []Crossover
-	for i := 1; i < len(points); i++ {
-		a, b := points[i-1], points[i]
-		if a.Best.Config.Kind != b.Best.Config.Kind {
-			out = append(out, Crossover{
-				LowBudget:  a.Budget,
-				HighBudget: b.Budget,
-				From:       a.Best.Config.Kind,
-				To:         b.Best.Config.Kind,
-			})
-		}
-	}
-	return out
 }

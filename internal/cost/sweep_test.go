@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"memhier/internal/core"
-	"memhier/internal/machine"
 )
 
 func TestBudgetSweep(t *testing.T) {
@@ -34,32 +33,5 @@ func TestBudgetSweep(t *testing.T) {
 	}
 	if _, err := BudgetSweep([]float64{1}, wl, DefaultCatalog(), DefaultSpace(), core.Options{}); err == nil {
 		t.Error("infeasible-only sweep accepted")
-	}
-}
-
-func TestCrossoversRadix(t *testing.T) {
-	// The paper's WS-cluster → SMP transition for Radix must appear
-	// somewhere between the $5,000 and $20,000 case studies.
-	wl, _ := core.PaperWorkload("Radix")
-	pts, err := BudgetSweep([]float64{3000, 5000, 8000, 12000, 20000}, wl,
-		DefaultCatalog(), DefaultSpace(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := Crossovers(pts)
-	foundToSMP := false
-	for _, x := range xs {
-		if x.To == machine.SMP {
-			foundToSMP = true
-			if x.LowBudget < 3000 || x.HighBudget > 20000 {
-				t.Errorf("SMP crossover outside the studied range: %+v", x)
-			}
-		}
-	}
-	if !foundToSMP {
-		t.Errorf("no WS→SMP crossover found for Radix: %+v", pts)
-	}
-	if got := Crossovers(pts[:1]); len(got) != 0 {
-		t.Error("single point cannot cross over")
 	}
 }

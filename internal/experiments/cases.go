@@ -173,11 +173,3 @@ func (s *Suite) ModelVsSimSpeed() (SpeedComparison, error) {
 	}
 	return sc, nil
 }
-
-// Table2Scale regenerates Table 2 at a given problem scale (used to show
-// how β grows with the data set, as the paper notes for TPC-C).
-func Table2Scale(scale workloads.Scale) (*tabulate.Table, error) {
-	s := NewSuite(Options{Scale: scale})
-	_, t, err := s.Table2()
-	return t, err
-}

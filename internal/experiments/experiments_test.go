@@ -444,13 +444,3 @@ func TestWriteReportSmoke(t *testing.T) {
 		t.Errorf("report suspiciously short: %d bytes", len(out))
 	}
 }
-
-func TestTable2Scale(t *testing.T) {
-	tab, err := Table2Scale(0) // ScaleSmall
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Errorf("Table2Scale rows = %d", len(tab.Rows))
-	}
-}

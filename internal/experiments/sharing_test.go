@@ -376,7 +376,10 @@ func phaseBound(tr *trace.Trace) (phase, drift int) {
 // counterpart in the Suite's shape: each suite kernel at each cluster
 // processor count, recorded once in the generator's emission order (outside
 // the timer) and replayed into a fresh accumulator over every catalog
-// grouping of that count — the same five measurements per kernel.
+// grouping of that count — the same five measurements per kernel. The jobs
+// of one iteration share one block pool, as a simulate worker's passes do
+// (passState), so the benchmark pays the Suite's steady-state allocation,
+// not a cold pool per job.
 func BenchmarkSharingAccumulator(b *testing.B) {
 	type emitted struct {
 		cpu int
@@ -414,8 +417,10 @@ func BenchmarkSharingAccumulator(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		var pool refPool
 		for _, j := range jobs {
 			a := newSharingAccumulator(j.nproc, j.perNode...)
+			a.pool = &pool
 			for _, ev := range j.events {
 				a.Emit(ev.cpu, ev.e)
 			}

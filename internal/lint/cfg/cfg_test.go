@@ -328,7 +328,7 @@ func TestForwardMustAnalysis(t *testing.T) {
 	}
 	for _, tc := range cases {
 		g := New(parseBody(t, tc.body))
-		got, ok := ExitFact(g, marked)
+		got, ok := Forward(g, marked)[g.Exit]
 		if !ok {
 			t.Fatalf("%s: exit unreachable", tc.name)
 		}

@@ -77,11 +77,3 @@ func Visit[F any](g *Graph, fl Flow[F], visit func(n ast.Node, before F)) {
 		}
 	}
 }
-
-// ExitFact returns the converged fact at the Exit block, joined over every
-// path that reaches it, and whether Exit is reachable at all.
-func ExitFact[F any](g *Graph, fl Flow[F]) (F, bool) {
-	in := Forward(g, fl)
-	f, ok := in[g.Exit]
-	return f, ok
-}

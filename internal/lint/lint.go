@@ -11,10 +11,10 @@
 // analyzers in the subpackages (atomics, detorder, errwrap, floateq,
 // guardedby, hotalloc, leakcheck) could be ported to real
 // *analysis.Analyzer values by changing imports only. Analyzers that need
-// whole-program state (lockorder) additionally set NewState/Finish: the
-// runner threads one shared accumulator through every package's Run and
-// calls Finish once at the end, the moral equivalent of go/analysis
-// facts. Flow-sensitive analyzers build per-function control-flow graphs
+// whole-program state (lockorder, deadexport) additionally set
+// NewState/Finish: the runner threads one shared accumulator through every
+// package's Run and calls Finish once at the end, the moral equivalent of
+// go/analysis facts. Flow-sensitive analyzers build per-function control-flow graphs
 // with the sibling cfg package and model lock identity with the locks
 // package.
 //

@@ -14,11 +14,7 @@
 //chc:deterministic
 package netmodel
 
-import (
-	"fmt"
-
-	"memhier/internal/machine"
-)
+import "memhier/internal/machine"
 
 // Link is an interconnect technology.
 type Link struct {
@@ -64,19 +60,6 @@ var (
 	Gigabit = Link{Name: "1Gb Ethernet", BandwidthMbps: 1000, OverheadCycles: 400, Switched: true}
 	SAN2G   = Link{Name: "2Gb SAN", BandwidthMbps: 2000, OverheadCycles: 60, Switched: true}
 )
-
-// PaperLink returns the Link matching a catalog network kind.
-func PaperLink(kind machine.NetworkKind) (Link, error) {
-	switch kind {
-	case machine.NetBus10:
-		return Ethernet10, nil
-	case machine.NetBus100:
-		return Ethernet100, nil
-	case machine.NetSwitch155:
-		return ATM155, nil
-	}
-	return Link{}, fmt.Errorf("netmodel: no link model for %v", kind)
-}
 
 // Latencies builds a full §5.1-style latency table for the platform kind
 // with the link's derived remote costs, so hypothetical networks can feed

@@ -42,15 +42,17 @@ func TestSerializationScalesWithBandwidthAndClock(t *testing.T) {
 	}
 }
 
+// TestPaperLink: each of the paper's links is named, and it is switched
+// exactly where its catalog network kind is not a bus.
 func TestPaperLink(t *testing.T) {
-	for _, kind := range []machine.NetworkKind{machine.NetBus10, machine.NetBus100, machine.NetSwitch155} {
-		l, err := PaperLink(kind)
-		if err != nil || l.Name == "" {
-			t.Errorf("PaperLink(%v) = %+v, %v", kind, l, err)
+	for kind, l := range map[machine.NetworkKind]Link{
+		machine.NetBus10:     Ethernet10,
+		machine.NetBus100:    Ethernet100,
+		machine.NetSwitch155: ATM155,
+	} {
+		if l.Name == "" || l.Switched == kind.IsBus() {
+			t.Errorf("%v: link %+v", kind, l)
 		}
-	}
-	if _, err := PaperLink(machine.NetNone); err == nil {
-		t.Error("NetNone accepted")
 	}
 }
 

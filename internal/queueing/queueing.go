@@ -1,6 +1,6 @@
 // Package queueing provides the queueing-theoretic building blocks of the
-// Du–Zhang cluster model: M/D/1 and M/G/1 response times for contended
-// memory-hierarchy levels, and the order-statistics barrier cost.
+// Du–Zhang cluster model: M/D/1 (and closed-network MVA) response times for
+// contended memory-hierarchy levels, and the order-statistics barrier cost.
 //
 // All quantities are expressed in abstract time units (CPU cycles in this
 // repository). An arrival rate is therefore in requests per cycle and a
@@ -96,9 +96,9 @@ func (g Guard) check(rho, tau, lambda float64) error {
 	return nil
 }
 
-// MD1Response returns the mean response time (queueing delay plus service)
-// of an M/D/1 queue with deterministic service time tau and Poisson arrival
-// rate lambda from competing requesters.
+// MD1ResponseGuarded returns the mean response time (queueing delay plus
+// service) of an M/D/1 queue with deterministic service time tau and
+// Poisson arrival rate lambda from competing requesters.
 //
 // This is the form used throughout Du & Zhang's paper (their eq. for t2(o)):
 //
@@ -107,13 +107,11 @@ func (g Guard) check(rho, tau, lambda float64) error {
 // which equals tau + lambda*tau^2 / (2*(1-rho)), the Pollaczek–Khinchine
 // mean response with zero service variance. With lambda == 0 it reduces to
 // tau: an uncontended access costs exactly its service time.
-func MD1Response(tau, lambda float64) (float64, error) {
-	return MD1ResponseGuarded(tau, lambda, Guard{})
-}
-
-// MD1ResponseGuarded is MD1Response with a configurable saturation guard:
-// offered loads beyond g.MaxRho (but below 1) return an error wrapping
-// ErrNearSaturated instead of a numerically meaningless response.
+//
+// Offered loads at or beyond 1 return an error wrapping ErrSaturated; loads
+// beyond g.MaxRho (but below 1) return one wrapping ErrNearSaturated
+// instead of a numerically meaningless response. Guard{} only rejects
+// saturation.
 func MD1ResponseGuarded(tau, lambda float64, g Guard) (float64, error) {
 	if tau < 0 {
 		return 0, fmt.Errorf("queueing: negative service time %v", tau)
@@ -126,37 +124,6 @@ func MD1ResponseGuarded(tau, lambda float64, g Guard) (float64, error) {
 		return 0, err
 	}
 	return (tau - 0.5*lambda*tau*tau) / (1 - rho), nil
-}
-
-// MG1Response returns the mean response time of an M/G/1 queue with mean
-// service time tau, squared coefficient of variation cs2 of the service
-// distribution, and arrival rate lambda (Pollaczek–Khinchine):
-//
-//	R = tau + lambda*tau^2*(1+cs2) / (2*(1-rho))
-//
-// MD1Response is the special case cs2 == 0; an exponential server is
-// cs2 == 1.
-func MG1Response(tau, cs2, lambda float64) (float64, error) {
-	return MG1ResponseGuarded(tau, cs2, lambda, Guard{})
-}
-
-// MG1ResponseGuarded is MG1Response with a configurable saturation guard;
-// see MD1ResponseGuarded.
-func MG1ResponseGuarded(tau, cs2, lambda float64, g Guard) (float64, error) {
-	if tau < 0 {
-		return 0, fmt.Errorf("queueing: negative service time %v", tau)
-	}
-	if cs2 < 0 {
-		return 0, fmt.Errorf("queueing: negative service-time variability %v", cs2)
-	}
-	if lambda < 0 {
-		return 0, fmt.Errorf("queueing: negative arrival rate %v", lambda)
-	}
-	rho := lambda * tau
-	if err := g.check(rho, tau, lambda); err != nil {
-		return 0, err
-	}
-	return tau + lambda*tau*tau*(1+cs2)/(2*(1-rho)), nil
 }
 
 // Utilization returns the offered load lambda*tau.
@@ -214,43 +181,15 @@ func Harmonic(n int) float64 {
 	return math.Log(x) + gamma + 1/(2*x) - 1/(12*x*x)
 }
 
-// BarrierWait returns the expected extra wait a process incurs at a barrier
-// synchronizing p processes whose inter-(barrier-access) times are
-// exponential with rate lambdaB. Using order statistics of exponentials,
-// the barrier cycle time is E[max of p exponentials] = H(p)/lambdaB, and the
-// expected wait beyond a process's own access time is
-//
-//	(H(p) - 1) / lambdaB = (1/2 + 1/3 + ... + 1/p) / lambdaB.
-//
-// For p <= 1 there is no one to wait for and the result is 0.
-func BarrierWait(p int, lambdaB float64) (float64, error) {
-	if p <= 1 {
-		return 0, nil
-	}
-	if lambdaB <= 0 {
-		return 0, fmt.Errorf("queueing: barrier access rate must be positive, got %v", lambdaB)
-	}
-	return (Harmonic(p) - 1) / lambdaB, nil
-}
-
 // BarrierSum returns the paper's folded barrier term 1/2 + 1/3 + ... + 1/p,
 // i.e. H(p) − 1, the dimensionless part of the barrier wait. It is the
-// quantity added inside eq. (11) of the paper.
+// quantity added inside eq. (11) of the paper: when p processes reach a
+// barrier at exponential intervals of rate lambdaB, the barrier cycle is
+// the expected maximum of p exponentials, H(p)/lambdaB, so a process waits
+// (H(p) − 1)/lambdaB beyond its own arrival. For p <= 1 it is 0.
 func BarrierSum(p int) float64 {
 	if p <= 1 {
 		return 0
 	}
 	return Harmonic(p) - 1
-}
-
-// ExpectedMaxExponential returns E[max(X1..Xn)] for i.i.d. exponential
-// variables with the given rate: H(n)/rate.
-func ExpectedMaxExponential(n int, rate float64) (float64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("queueing: need at least one variable, got %d", n)
-	}
-	if rate <= 0 {
-		return 0, fmt.Errorf("queueing: rate must be positive, got %v", rate)
-	}
-	return Harmonic(n) / rate, nil
 }

@@ -11,12 +11,12 @@ import (
 
 func TestMD1ResponseNoContention(t *testing.T) {
 	for _, tau := range []float64{0, 1, 50, 2000, 45075} {
-		got, err := MD1Response(tau, 0)
+		got, err := MD1ResponseGuarded(tau, 0, Guard{})
 		if err != nil {
-			t.Fatalf("MD1Response(%v, 0): %v", tau, err)
+			t.Fatalf("MD1ResponseGuarded(%v, 0): %v", tau, err)
 		}
 		if got != tau {
-			t.Errorf("MD1Response(%v, 0) = %v, want %v", tau, got, tau)
+			t.Errorf("MD1ResponseGuarded(%v, 0) = %v, want %v", tau, got, tau)
 		}
 	}
 }
@@ -32,12 +32,12 @@ func TestMD1ResponseKnownValues(t *testing.T) {
 		{tau: 1, lambda: 0.5, want: 1 + 0.5*1/(2*0.5)},
 	}
 	for _, tc := range tests {
-		got, err := MD1Response(tc.tau, tc.lambda)
+		got, err := MD1ResponseGuarded(tc.tau, tc.lambda, Guard{})
 		if err != nil {
-			t.Fatalf("MD1Response(%v, %v): %v", tc.tau, tc.lambda, err)
+			t.Fatalf("MD1ResponseGuarded(%v, %v): %v", tc.tau, tc.lambda, err)
 		}
 		if math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("MD1Response(%v, %v) = %v, want %v", tc.tau, tc.lambda, got, tc.want)
+			t.Errorf("MD1ResponseGuarded(%v, %v) = %v, want %v", tc.tau, tc.lambda, got, tc.want)
 		}
 	}
 }
@@ -48,7 +48,7 @@ func TestMD1ResponseEquivalentForms(t *testing.T) {
 	f := func(tauRaw, lamRaw uint16) bool {
 		tau := 1 + float64(tauRaw%5000)
 		lambda := float64(lamRaw%1000) / 1000 / tau * 0.99 // rho in [0, .99)
-		got, err := MD1Response(tau, lambda)
+		got, err := MD1ResponseGuarded(tau, lambda, Guard{})
 		if err != nil {
 			return false
 		}
@@ -62,19 +62,19 @@ func TestMD1ResponseEquivalentForms(t *testing.T) {
 }
 
 func TestMD1ResponseSaturation(t *testing.T) {
-	if _, err := MD1Response(10, 0.1); !errors.Is(err, ErrSaturated) {
+	if _, err := MD1ResponseGuarded(10, 0.1, Guard{}); !errors.Is(err, ErrSaturated) {
 		t.Errorf("rho=1: got err=%v, want ErrSaturated", err)
 	}
-	if _, err := MD1Response(10, 0.2); !errors.Is(err, ErrSaturated) {
+	if _, err := MD1ResponseGuarded(10, 0.2, Guard{}); !errors.Is(err, ErrSaturated) {
 		t.Errorf("rho=2: got err=%v, want ErrSaturated", err)
 	}
 }
 
 func TestMD1ResponseRejectsNegative(t *testing.T) {
-	if _, err := MD1Response(-1, 0); err == nil {
+	if _, err := MD1ResponseGuarded(-1, 0, Guard{}); err == nil {
 		t.Error("negative tau accepted")
 	}
-	if _, err := MD1Response(1, -0.5); err == nil {
+	if _, err := MD1ResponseGuarded(1, -0.5, Guard{}); err == nil {
 		t.Error("negative lambda accepted")
 	}
 }
@@ -87,8 +87,8 @@ func TestMD1MonotoneInLoad(t *testing.T) {
 		if l1 > l2 {
 			l1, l2 = l2, l1
 		}
-		r1, err1 := MD1Response(tau, l1)
-		r2, err2 := MD1Response(tau, l2)
+		r1, err1 := MD1ResponseGuarded(tau, l1, Guard{})
+		r2, err2 := MD1ResponseGuarded(tau, l2, Guard{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -96,54 +96,6 @@ func TestMD1MonotoneInLoad(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMG1ReducesToMD1(t *testing.T) {
-	for _, tau := range []float64{1, 15, 50} {
-		for _, lambda := range []float64{0, 0.001, 0.01} {
-			md1, err := MD1Response(tau, lambda)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mg1, err := MG1Response(tau, 0, lambda)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(md1-mg1) > 1e-9 {
-				t.Errorf("tau=%v lambda=%v: MD1=%v MG1(cs2=0)=%v", tau, lambda, md1, mg1)
-			}
-		}
-	}
-}
-
-func TestMG1VariabilityPenalty(t *testing.T) {
-	// Higher service variability must not decrease the response time.
-	det, err := MG1Response(50, 0, 0.005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := MG1Response(50, 1, 0.005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp <= det {
-		t.Errorf("exponential server response %v should exceed deterministic %v", exp, det)
-	}
-}
-
-func TestMG1Errors(t *testing.T) {
-	if _, err := MG1Response(10, -1, 0.01); err == nil {
-		t.Error("negative cs2 accepted")
-	}
-	if _, err := MG1Response(10, 0, 0.1); !errors.Is(err, ErrSaturated) {
-		t.Errorf("rho=1 got %v", err)
-	}
-	if _, err := MG1Response(-10, 0, 0.01); err == nil {
-		t.Error("negative tau accepted")
-	}
-	if _, err := MG1Response(10, 0, -0.01); err == nil {
-		t.Error("negative lambda accepted")
 	}
 }
 
@@ -246,7 +198,7 @@ func TestMVAResponseAgreesWithMD1AtLowLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md1, err := MD1Response(tau, lambda)
+	md1, err := MD1ResponseGuarded(tau, lambda, Guard{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,36 +219,11 @@ func TestMVAResponseErrors(t *testing.T) {
 	}
 }
 
-func TestBarrierWait(t *testing.T) {
-	// p = 4, lambdaB = 0.5: (1/2 + 1/3 + 1/4)/0.5
-	got, err := BarrierWait(4, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (0.5 + 1.0/3 + 0.25) / 0.5
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("BarrierWait(4, 0.5) = %v, want %v", got, want)
-	}
-}
-
-func TestBarrierWaitDegenerate(t *testing.T) {
-	for _, p := range []int{-1, 0, 1} {
-		got, err := BarrierWait(p, 0) // rate ignored when p <= 1
-		if err != nil || got != 0 {
-			t.Errorf("BarrierWait(%d) = %v, %v; want 0, nil", p, got, err)
-		}
-	}
-	if _, err := BarrierWait(2, 0); err == nil {
-		t.Error("zero rate with p>1 accepted")
-	}
-	if _, err := BarrierWait(2, -1); err == nil {
-		t.Error("negative rate accepted")
-	}
-}
-
 func TestBarrierSum(t *testing.T) {
-	if got := BarrierSum(1); got != 0 {
-		t.Errorf("BarrierSum(1) = %v, want 0", got)
+	for _, p := range []int{-1, 0, 1} {
+		if got := BarrierSum(p); got != 0 {
+			t.Errorf("BarrierSum(%d) = %v, want 0", p, got)
+		}
 	}
 	if got, want := BarrierSum(2), 0.5; math.Abs(got-want) > 1e-12 {
 		t.Errorf("BarrierSum(2) = %v, want %v", got, want)
@@ -306,40 +233,9 @@ func TestBarrierSum(t *testing.T) {
 	}
 }
 
-func TestExpectedMaxExponential(t *testing.T) {
-	got, err := ExpectedMaxExponential(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (1 + 0.5 + 1.0/3) / 2
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("ExpectedMaxExponential(3, 2) = %v, want %v", got, want)
-	}
-	if _, err := ExpectedMaxExponential(0, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := ExpectedMaxExponential(1, 0); err == nil {
-		t.Error("rate=0 accepted")
-	}
-}
-
-func TestExpectedMaxExponentialGrowsWithN(t *testing.T) {
-	prev := 0.0
-	for n := 1; n <= 64; n *= 2 {
-		v, err := ExpectedMaxExponential(n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v <= prev {
-			t.Errorf("E[max] not increasing at n=%d: %v <= %v", n, v, prev)
-		}
-		prev = v
-	}
-}
-
 func BenchmarkMD1Response(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := MD1Response(50, 0.005); err != nil {
+		if _, err := MD1ResponseGuarded(50, 0.005, Guard{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -353,8 +249,8 @@ func BenchmarkMVAResponse(b *testing.B) {
 	}
 }
 
-// TestSaturationGuard walks the M/D/1 and M/G/1 responses across the
-// near-saturation boundary: ρ = 0.95 and ρ = 0.999 are admissible under
+// TestSaturationGuard walks the M/D/1 response across the near-saturation
+// boundary: ρ = 0.95 and ρ = 0.999 are admissible under
 // the default guard, anything above the threshold trips ErrNearSaturated
 // with the ρ context in the chain, and ρ >= 1 stays ErrSaturated.
 func TestSaturationGuard(t *testing.T) {
@@ -380,30 +276,21 @@ func TestSaturationGuard(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			lambda := tc.rho / tau
-			rMD1, errMD1 := MD1ResponseGuarded(tau, lambda, tc.g)
-			rMG1, errMG1 := MG1ResponseGuarded(tau, 0, lambda, tc.g)
-			for i, got := range []error{errMD1, errMG1} {
-				if tc.wantErr == nil {
-					if got != nil {
-						t.Fatalf("formula %d: unexpected error %v", i, got)
-					}
-					continue
-				}
-				if !errors.Is(got, tc.wantErr) {
-					t.Fatalf("formula %d: error %v, want chain containing %v", i, got, tc.wantErr)
-				}
-				if !strings.Contains(got.Error(), "rho=") {
-					t.Errorf("formula %d: error %q missing rho context", i, got)
-				}
-			}
+			r, err := MD1ResponseGuarded(tau, lambda, tc.g)
 			if tc.wantErr == nil {
-				if rMD1 < tau || math.IsInf(rMD1, 0) || math.IsNaN(rMD1) {
-					t.Errorf("MD1 response %v implausible at rho=%v", rMD1, tc.rho)
+				if err != nil {
+					t.Fatalf("unexpected error %v", err)
 				}
-				// Zero service variance: M/G/1 with cs2=0 must agree.
-				if math.Abs(rMD1-rMG1) > 1e-9*rMD1 {
-					t.Errorf("MD1 %v and MG1(cs2=0) %v disagree", rMD1, rMG1)
+				if r < tau || math.IsInf(r, 0) || math.IsNaN(r) {
+					t.Errorf("MD1 response %v implausible at rho=%v", r, tc.rho)
 				}
+				return
+			}
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("error %v, want chain containing %v", err, tc.wantErr)
+			}
+			if !strings.Contains(err.Error(), "rho=") {
+				t.Errorf("error %q missing rho context", err)
 			}
 		})
 	}
@@ -414,7 +301,7 @@ func TestSaturationGuard(t *testing.T) {
 func TestGuardedMatchesUnguardedBelowThreshold(t *testing.T) {
 	for _, rho := range []float64{0, 0.1, 0.5, 0.9, 0.95, 0.998} {
 		lambda := rho / 50
-		plain, err1 := MD1Response(50, lambda)
+		plain, err1 := MD1ResponseGuarded(50, lambda, Guard{})
 		guarded, err2 := MD1ResponseGuarded(50, lambda, Guard{MaxRho: DefaultMaxRho})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("rho=%v: errors %v, %v", rho, err1, err2)

@@ -15,7 +15,7 @@ import (
 )
 
 // deepAnchorFile pins the deep-hierarchy simulator's outputs: one SHA-256
-// per (platform, kernel, protocol) run, over the run's WallCycles, Stats,
+// per (platform, kernel) run, over the run's WallCycles, Stats,
 // ClassShare and Phases. referenceRun drives the same System as the
 // engines, so it cannot catch a change inside the deep-level bookkeeping;
 // these digests can.
@@ -69,11 +69,11 @@ func runDigest(r RunResult) string {
 }
 
 // TestDeepRunsMatchGoldenAnchor runs the small FFT/LU/Radix/EDGE kernels on
-// every anchored deep platform under MSI and MESI and compares each run's
-// digest with the checked-in anchor.
+// every anchored deep platform and compares each run's digest with the
+// checked-in anchor.
 func TestDeepRunsMatchGoldenAnchor(t *testing.T) {
 	if testing.Short() {
-		t.Skip("80 deep-hierarchy simulations")
+		t.Skip("40 deep-hierarchy simulations")
 	}
 	type sum struct{ name, hash string }
 	var got []sum
@@ -88,20 +88,19 @@ func TestDeepRunsMatchGoldenAnchor(t *testing.T) {
 				}
 				traces[cfg.TotalProcs()] = tr
 			}
-			for _, proto := range []Protocol{ProtocolMSI, ProtocolMESI} {
-				sys, err := NewSystemOpts(cfg, SystemOptions{Protocol: proto})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := Run(tr, sys)
-				if err != nil {
-					t.Fatalf("%s/%s/%v: %v", cfg.Name, w.Name(), proto, err)
-				}
-				if err := sys.VerifyCoherence(); err != nil {
-					t.Errorf("%s/%s/%v: %v", cfg.Name, w.Name(), proto, err)
-				}
-				got = append(got, sum{fmt.Sprintf("%s/%s/%v", cfg.Name, w.Name(), proto), runDigest(res)})
+			name := cfg.Name + "/" + w.Name()
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			res, err := Run(tr, sys)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := sys.VerifyCoherence(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			got = append(got, sum{name, runDigest(res)})
 		}
 	}
 

@@ -134,6 +134,25 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	}
 }
 
+func TestMSINeedsBusUpgrade(t *testing.T) {
+	// A read fills Shared even as the sole copy, so the write that follows
+	// needs an upgrade transaction on a 2-processor SMP.
+	tr := trace.New(2)
+	tr.Streams[0].AddRead(0)
+	tr.Streams[0].AddWrite(0)
+	tr.Streams[0].AddBarrier()
+	tr.Streams[1].AddCompute(1)
+	tr.Streams[1].AddBarrier()
+
+	res, err := Simulate(tr, smpConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Upgrades != 1 {
+		t.Errorf("MSI upgrades = %d, want 1", res.Stats.Upgrades)
+	}
+}
+
 func TestClusterRemoteAccessLatencies(t *testing.T) {
 	for _, tc := range []struct {
 		net  machine.NetworkKind

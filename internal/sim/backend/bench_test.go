@@ -110,7 +110,7 @@ func BenchmarkStreamRun(b *testing.B) {
 		}
 		if _, err := StreamRun(sys, 4, func(sink trace.Sink) error {
 			return w.Run(4, sink)
-		}, WithEventHint(w.EventHint(4))); err != nil {
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkStreamRunAll(b *testing.B) {
 		}
 		if _, err := StreamRunAll(systems, 4, func(sink trace.Sink) error {
 			return w.Run(4, sink)
-		}, WithEventHint(w.EventHint(4))); err != nil {
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,7 +47,7 @@ func deepTestConfigs() []machine.Config {
 
 // TestDeepRunMatchesReference is the multi-level analogue of
 // TestRunMatchesReference: with 2- and 3-level private hierarchies on every
-// platform kind, under MSI and MESI, the batched engine must match the
+// platform kind, the batched engine must match the
 // unbatched reference executor bit for bit, and the coherence invariants
 // (including the deep levels' clean-and-unowned rule and the presence
 // filter's soundness) must hold at the end of every run.
@@ -61,34 +61,31 @@ func TestDeepRunMatchesReference(t *testing.T) {
 				tr = randomTrace(rng, cfg.TotalProcs(), 5, 300)
 				traces[cfg.TotalProcs()] = tr
 			}
-			for _, proto := range []Protocol{ProtocolMSI, ProtocolMESI} {
-				opts := SystemOptions{Protocol: proto}
-				name := fmt.Sprintf("seed %d %s/%d×%d %v", seed, cfg.Name, cfg.N, cfg.Procs, proto)
-				sysA, err := NewSystemOpts(cfg, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := referenceRun(tr, sysA)
-				if err != nil {
-					t.Fatalf("%s: reference run: %v", name, err)
-				}
-				if err := sysA.VerifyCoherence(); err != nil {
-					t.Fatalf("%s: reference run: %v", name, err)
-				}
-				sysB, err := NewSystemOpts(cfg, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Run(tr, sysB)
-				if err != nil {
-					t.Fatalf("%s: batched Run: %v", name, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: batched engine diverged from reference:\n got %+v\nwant %+v", name, got, want)
-				}
-				if err := sysB.VerifyCoherence(); err != nil {
-					t.Errorf("%s: batched Run: %v", name, err)
-				}
+			name := fmt.Sprintf("seed %d %s/%d×%d", seed, cfg.Name, cfg.N, cfg.Procs)
+			sysA, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := referenceRun(tr, sysA)
+			if err != nil {
+				t.Fatalf("%s: reference run: %v", name, err)
+			}
+			if err := sysA.VerifyCoherence(); err != nil {
+				t.Fatalf("%s: reference run: %v", name, err)
+			}
+			sysB, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(tr, sysB)
+			if err != nil {
+				t.Fatalf("%s: batched Run: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: batched engine diverged from reference:\n got %+v\nwant %+v", name, got, want)
+			}
+			if err := sysB.VerifyCoherence(); err != nil {
+				t.Errorf("%s: batched Run: %v", name, err)
 			}
 		}
 	}

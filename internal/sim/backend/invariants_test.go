@@ -26,29 +26,27 @@ func TestCoherenceInvariantRealWorkloads(t *testing.T) {
 		workloads.NewRadix(3000, 16),
 		workloads.NewEdge(24, 24, 2),
 	}
-	for _, proto := range []Protocol{ProtocolMSI, ProtocolMESI} {
-		for _, cfg := range cfgs {
-			for _, w := range kernels {
-				tr, err := workloads.GenerateTrace(w, cfg.TotalProcs())
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys, err := NewSystemOpts(cfg, SystemOptions{Protocol: proto})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := Run(tr, sys); err != nil {
-					t.Fatalf("%v/%s/%d×%d/%s: %v", proto, cfg.Name, cfg.N, cfg.Procs, w.Name(), err)
-				}
-				if err := sys.VerifyCoherence(); err != nil {
-					t.Errorf("%v/%s/%d×%d/%s: %v", proto, cfg.Name, cfg.N, cfg.Procs, w.Name(), err)
-				}
+	for _, cfg := range cfgs {
+		for _, w := range kernels {
+			tr, err := workloads.GenerateTrace(w, cfg.TotalProcs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(tr, sys); err != nil {
+				t.Fatalf("%s/%d×%d/%s: %v", cfg.Name, cfg.N, cfg.Procs, w.Name(), err)
+			}
+			if err := sys.VerifyCoherence(); err != nil {
+				t.Errorf("%s/%d×%d/%s: %v", cfg.Name, cfg.N, cfg.Procs, w.Name(), err)
 			}
 		}
 	}
 }
 
-// TestCoherenceInvariantRandomTraces stresses the protocols with random
+// TestCoherenceInvariantRandomTraces stresses the protocol with random
 // read/write interleavings over a small shared region (maximal false
 // sharing and ping-pong), checking the invariant at several points.
 func TestCoherenceInvariantRandomTraces(t *testing.T) {
@@ -83,17 +81,15 @@ func TestCoherenceInvariantRandomTraces(t *testing.T) {
 				}
 			}
 		}
-		for _, proto := range []Protocol{ProtocolMSI, ProtocolMESI} {
-			sys, err := NewSystemOpts(cfg, SystemOptions{Protocol: proto})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Run(tr, sys); err != nil {
-				t.Fatalf("trial %d %v: %v", trial, proto, err)
-			}
-			if err := sys.VerifyCoherence(); err != nil {
-				t.Errorf("trial %d %v (n=%d N=%d): %v", trial, proto, cfg.Procs, cfg.N, err)
-			}
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(tr, sys); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if err := sys.VerifyCoherence(); err != nil {
+			t.Errorf("trial %d (n=%d N=%d): %v", trial, cfg.Procs, cfg.N, err)
 		}
 	}
 }

@@ -25,26 +25,24 @@ func exactPresence(s *System) []int {
 	return exact
 }
 
-// runDeepRandom runs one seeded random trace on every deep test config
-// under both protocols and calls check with each finished system.
+// runDeepRandom runs one seeded random trace on every deep test config and
+// calls check with each finished system.
 func runDeepRandom(t *testing.T, seed int64, prepare func(*System), check func(name string, s *System, r RunResult)) {
 	t.Helper()
 	for i, cfg := range deepTestConfigs() {
 		tr := randomTrace(rand.New(rand.NewSource(seed)), cfg.TotalProcs(), 5, 300)
-		for _, proto := range []Protocol{ProtocolMSI, ProtocolMESI} {
-			sys, err := NewSystemOpts(cfg, SystemOptions{Protocol: proto})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if prepare != nil {
-				prepare(sys)
-			}
-			res, err := Run(tr, sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("#%d %s/%d×%d/%v", i, cfg.Name, cfg.N, cfg.Procs, proto), sys, res)
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if prepare != nil {
+			prepare(sys)
+		}
+		res, err := Run(tr, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("#%d %s/%d×%d", i, cfg.Name, cfg.N, cfg.Procs), sys, res)
 	}
 }
 

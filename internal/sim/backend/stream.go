@@ -20,6 +20,9 @@ type streamConfig struct {
 // a hint of the generator's event count.
 //
 // Deprecated: pass nothing; WithPhaseBuffer shares blocks between runs.
+// It stays only because pipebench, a module of its own, still passes it.
+//
+//chc:allow deadexport -- called by the pipebench module
 func WithEventHint(events int) StreamOption {
 	return func(*streamConfig) {}
 }

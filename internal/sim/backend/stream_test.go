@@ -75,7 +75,7 @@ func TestStreamRunMatchesRun(t *testing.T) {
 			}
 			res, err := StreamRunAll(systems, nproc, func(sink trace.Sink) error {
 				return w.Run(nproc, sink)
-			}, WithEventHint(1<<12))
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

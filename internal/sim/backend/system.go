@@ -189,39 +189,11 @@ func (c AccessClass) String() string {
 	return fmt.Sprintf("AccessClass(%d)", int(c))
 }
 
-// Protocol selects the cache-coherence state machine.
-type Protocol int
-
-// Protocols. The paper's simulators use write-invalidate MSI (§5.1); MESI
-// is the simulator's extension for the protocol ablation: a sole clean copy
-// is installed Exclusive and upgrades to Modified silently.
-const (
-	ProtocolMSI Protocol = iota
-	ProtocolMESI
-)
-
-// String names the protocol.
-func (p Protocol) String() string {
-	switch p {
-	case ProtocolMSI:
-		return "MSI"
-	case ProtocolMESI:
-		return "MESI"
-	}
-	return fmt.Sprintf("Protocol(%d)", int(p))
-}
-
-// SystemOptions tunes simulator variants beyond the machine configuration.
-type SystemOptions struct {
-	Protocol Protocol // default ProtocolMSI (the paper's)
-}
-
 // System is one simulated platform instance. It is not safe for concurrent
 // use; the engine drives it from a single goroutine in global time order.
 type System struct {
-	cfg  machine.Config
-	lat  machine.Latencies
-	opts SystemOptions
+	cfg machine.Config
+	lat machine.Latencies
 
 	nodes int // N
 	perN  int // n
@@ -273,7 +245,6 @@ type Stats struct {
 	ClassCycles [numClasses]float64
 
 	Upgrades       uint64 // write hits on Shared lines
-	SilentUpgrades uint64 // MESI Exclusive→Modified transitions (no traffic)
 	InvalidateMsgs uint64 // cross-node invalidation transactions
 	Writebacks     uint64 // dirty evictions pushed toward memory/home
 	PageFaults     uint64
@@ -287,7 +258,6 @@ func (a Stats) Minus(b Stats) Stats {
 	d := Stats{
 		Refs:               a.Refs - b.Refs,
 		Upgrades:           a.Upgrades - b.Upgrades,
-		SilentUpgrades:     a.SilentUpgrades - b.SilentUpgrades,
 		InvalidateMsgs:     a.InvalidateMsgs - b.InvalidateMsgs,
 		Writebacks:         a.Writebacks - b.Writebacks,
 		PageFaults:         a.PageFaults - b.PageFaults,
@@ -302,20 +272,14 @@ func (a Stats) Minus(b Stats) Stats {
 }
 
 // NewSystem builds the simulator for a validated machine configuration,
-// with the paper's protocol settings.
+// running the paper's write-invalidate MSI protocol (§5.1).
 func NewSystem(cfg machine.Config) (*System, error) {
-	return NewSystemOpts(cfg, SystemOptions{})
-}
-
-// NewSystemOpts builds the simulator with explicit variant options.
-func NewSystemOpts(cfg machine.Config, opts SystemOptions) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &System{
 		cfg:   cfg,
 		lat:   machine.LatenciesAt(cfg.Kind, cfg.ClockMHz),
-		opts:  opts,
 		nodes: cfg.N,
 		perN:  cfg.Procs,
 	}
@@ -436,28 +400,6 @@ func (s *System) deepInstall(cpu int, addr uint64) {
 	s.pres.remove(s.pres.slot(node, addr))
 }
 
-// deepHeldElsewhere reports whether any other processor of cpu's node
-// holds addr in its deep hierarchy (a MESI Exclusive grant must see no
-// other copy in the machine, deep levels included).
-func (s *System) deepHeldElsewhere(cpu int, addr uint64) bool {
-	myNode := s.node(cpu)
-	if s.pres.counts[s.pres.slot(myNode, addr)] == 0 {
-		return false
-	}
-	for p := 0; p < s.perN; p++ {
-		other := myNode*s.perN + p
-		if other == cpu {
-			continue
-		}
-		for li := range s.deep {
-			if _, ok := s.deep[li][other].Probe(addr); ok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // deepInvalidateOthers kills addr in the deep hierarchies of cpu's node
 // siblings — every write that takes ownership of a line must also
 // invalidate the clean deep copies the L1 snoop cannot see. The sweep ends
@@ -540,12 +482,11 @@ func (s *System) exactLatencies() bool {
 }
 
 // VerifyCoherence checks the protocol's single-writer invariant across all
-// caches: a line held Modified (or Exclusive) by one processor must not be
-// valid in any other cache. It returns the first violation found, or nil.
-// Intended for tests and debugging; it scans every line of every cache.
+// caches: a line owned (held in any state but Shared) by one processor must
+// not be valid in any other cache. It returns the first violation found, or
+// nil. Intended for tests and debugging; it scans every line of every cache.
 func (s *System) VerifyCoherence() error {
-	// owners[line] = cpu holding it Modified/Exclusive; sharers tracked to
-	// cross-check.
+	// held[line] lists every L1 copy, owned or Shared, to cross-check.
 	type holder struct {
 		cpu int
 		st  cache.State
@@ -558,20 +499,16 @@ func (s *System) VerifyCoherence() error {
 		})
 	}
 	for line, hs := range held {
-		exclusive := -1
 		for _, h := range hs {
-			if h.st == cache.Modified || h.st == cache.Exclusive {
-				exclusive = h.cpu
+			if h.st != cache.Shared && len(hs) > 1 {
+				return fmt.Errorf("backend: line %#x held %v by cpu %d but valid in %d caches",
+					line*CacheLineSize, h.st, h.cpu, len(hs))
 			}
 		}
-		if exclusive >= 0 && len(hs) > 1 {
-			return fmt.Errorf("backend: line %#x held %v by cpu %d but valid in %d caches",
-				line*CacheLineSize, cache.Modified, exclusive, len(hs))
-		}
 	}
-	// Deep levels hold only clean victims: no line may sit there
-	// Modified/Exclusive, and a line owned by any L1 must have no deep copy
-	// anywhere (every ownership grant sweeps the deep hierarchies).
+	// Deep levels hold only clean victims: every deep line is Shared, and a
+	// line owned by any L1 must have no deep copy anywhere (every ownership
+	// grant sweeps the deep hierarchies).
 	for li := range s.deep {
 		for cpu := range s.deep[li] {
 			var deepErr error
@@ -579,13 +516,13 @@ func (s *System) VerifyCoherence() error {
 				if deepErr != nil {
 					return
 				}
-				if st == cache.Modified || st == cache.Exclusive {
+				if st != cache.Shared {
 					deepErr = fmt.Errorf("backend: line %#x held %v in cpu %d L%d (deep levels must stay clean)",
 						lineAddr*CacheLineSize, st, cpu, li+2)
 					return
 				}
 				for _, h := range held[lineAddr] {
-					if h.st == cache.Modified || h.st == cache.Exclusive {
+					if h.st != cache.Shared {
 						deepErr = fmt.Errorf("backend: line %#x owned %v by cpu %d L1 but cached in cpu %d L%d",
 							lineAddr*CacheLineSize, h.st, h.cpu, cpu, li+2)
 						return
@@ -660,15 +597,6 @@ func (s *System) verifyPresence() error {
 	return nil
 }
 
-// CacheStats returns the per-processor cache counters.
-func (s *System) CacheStats() []cache.Stats {
-	out := make([]cache.Stats, len(s.caches))
-	for i, c := range s.caches {
-		out[i] = c.Stats()
-	}
-	return out
-}
-
 func (s *System) node(cpu int) int         { return cpu / s.perN }
 func (s *System) block(addr uint64) uint64 { return addr / DSMBlockSize }
 
@@ -722,12 +650,13 @@ func (s *System) invalidateNode(node int, block uint64) int {
 	return killed
 }
 
-// downgradeNode moves every Modified or Exclusive line of the block in the
-// node's caches to Shared (a remote read of a dirty block).
+// downgradeNode moves every Modified line of the block in the node's caches
+// to Shared (a remote read of a dirty block).
 func (s *System) downgradeNode(node int, block uint64) {
 	base := block * DSMBlockSize
 	// Fused probe+downgrade: residue&^4 of way^tag<<3 is the state on a tag
-	// match; 2..3 (Exclusive, Modified) in one compare.
+	// match; 2..3 (Exclusive, Modified) in one compare — the protocol never
+	// installs Exclusive, so only Modified lines match.
 	downgraded := 0
 	for p := 0; p < s.perN; p++ {
 		h := &s.hots[node*s.perN+p]
@@ -801,21 +730,6 @@ func (s *System) nodeHoldsDirty(node int, block uint64) bool {
 	return false
 }
 
-// nodeHoldsExclusive reports whether any cache of the node holds a line of
-// the block in the MESI Exclusive state.
-func (s *System) nodeHoldsExclusive(node int, block uint64) bool {
-	base := block * DSMBlockSize
-	for p := 0; p < s.perN; p++ {
-		c := s.caches[node*s.perN+p]
-		for off := uint64(0); off < DSMBlockSize; off += CacheLineSize {
-			if st, ok := c.Probe(base + off); ok && st == cache.Exclusive {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // netAcquire occupies the cluster network for one transfer whose
 // destination is the home node, returning the completion time.
 func (s *System) netAcquire(home int, now, dur float64) float64 {
@@ -868,16 +782,6 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 	myNode := s.node(cpu)
 
 	if hit {
-		if st == cache.Exclusive {
-			// MESI: the sole clean copy becomes Modified with no
-			// coherence transaction.
-			myCache.SetState(addr, cache.Modified)
-			if s.trackDirty {
-				s.dirtyAdd(myNode, s.block(addr), 1)
-			}
-			s.stats.SilentUpgrades++
-			return s.finish(ClassCacheHit, now, now+s.lat.CacheHit)
-		}
 		// Write hit on a Shared line: upgrade via invalidation.
 		s.stats.Upgrades++
 		done := now + s.lat.CacheHit
@@ -944,9 +848,9 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 					if s.nodes > 1 {
 						done = s.dirUpgrade(cpu, addr, now, done)
 					}
-				} else if ost == cache.Modified || ost == cache.Exclusive {
+				} else if ost == cache.Modified {
 					s.hots[other].Set(addr, cache.Shared)
-					if s.trackDirty && ost == cache.Modified {
+					if s.trackDirty {
 						s.dirtyAdd(myNode, s.block(addr), -1)
 					}
 				}
@@ -959,7 +863,7 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 						s.deepInvalidateOthers(cpu, addr)
 					}
 				}
-				s.fill(cpu, addr, write, false, now)
+				s.fill(cpu, addr, write, now)
 				return s.finish(ClassRemoteCache, now, done)
 			}
 		}
@@ -977,7 +881,7 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 					return s.deepClusterServe(cpu, addr, write, now, li)
 				}
 			}
-			s.fill(cpu, addr, write, false, now)
+			s.fill(cpu, addr, write, now)
 			return s.finish(deepClass(li), now, now+s.deepLat[li])
 		}
 	}
@@ -991,19 +895,12 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 			done = t
 			class = ClassDisk
 		}
-		// No other L1 in the machine holds the line (the snoop above would
-		// have served it), so a MESI read fill may go Exclusive — unless a
-		// sibling's deep hierarchy still holds a clean copy.
-		sole := true
-		if s.deep != nil && !write && s.opts.Protocol == ProtocolMESI {
-			sole = !s.deepHeldElsewhere(cpu, addr)
-		}
 		if s.deep != nil && write {
 			// The write takes ownership: clean spill-overs in sibling deep
 			// hierarchies must die with it.
 			s.deepInvalidateOthers(cpu, addr)
 		}
-		s.fill(cpu, addr, write, sole, now)
+		s.fill(cpu, addr, write, now)
 		return s.finish(class, now, done)
 	}
 	return s.clusterMiss(cpu, addr, write, now)
@@ -1016,7 +913,7 @@ func (s *System) accessRest(cpu int, addr uint64, write bool, now float64, st ca
 // sharer nodes exactly as a write upgrade does.
 func (s *System) deepClusterServe(cpu int, addr uint64, write bool, now float64, li int) float64 {
 	done := s.dirUpgrade(cpu, addr, now, now+s.deepLat[li])
-	s.fill(cpu, addr, write, false, now)
+	s.fill(cpu, addr, write, now)
 	return s.finish(deepClass(li), now, done)
 }
 
@@ -1058,15 +955,6 @@ func (s *System) clusterMiss(cpu int, addr uint64, write bool, now float64) floa
 	home := int(e.home)
 
 	dirtyRemote := e.state == dirExclusive && int(e.owner) != myNode
-	// Sole copy in the system: no other node shares the block (and the
-	// intra-node snoop already came up empty before reaching this path).
-	sole := !dirtyRemote && e.sharers&^(1<<uint(myNode)) == 0
-	if sole && s.deep != nil && !write && s.opts.Protocol == ProtocolMESI &&
-		s.deepHeldElsewhere(cpu, addr) {
-		// A sibling's deep hierarchy still holds a clean copy: the MESI
-		// Exclusive grant below must not happen.
-		sole = false
-	}
 
 	var done float64
 	var class AccessClass
@@ -1127,13 +1015,6 @@ func (s *System) clusterMiss(cpu int, addr uint64, write bool, now float64) floa
 		e.state = dirExclusive
 		e.owner = int32(myNode)
 		e.sharers = 1 << uint(myNode)
-	} else if sole && s.opts.Protocol == ProtocolMESI {
-		// MESI: the directory grants exclusivity with the clean fill, so
-		// the later silent Exclusive→Modified upgrade stays coherent —
-		// remote readers will take the owner-intervention path.
-		e.state = dirExclusive
-		e.owner = int32(myNode)
-		e.sharers = 1 << uint(myNode)
 	} else {
 		if dirtyRemote {
 			e.state = dirShared
@@ -1145,22 +1026,17 @@ func (s *System) clusterMiss(cpu int, addr uint64, write bool, now float64) floa
 		e.sharers |= 1 << uint(myNode)
 	}
 
-	s.fill(cpu, addr, write, sole, now)
+	s.fill(cpu, addr, write, now)
 	return s.finish(class, now, done)
 }
 
 // fill installs the line in cpu's cache, pushing a posted write-back toward
 // memory or the home node when a dirty line is displaced (the write-back
 // occupies the medium but does not stall the processor).
-func (s *System) fill(cpu int, addr uint64, write, sole bool, now float64) {
+func (s *System) fill(cpu int, addr uint64, write bool, now float64) {
 	st := cache.Shared
-	switch {
-	case write:
+	if write {
 		st = cache.Modified
-	case sole && s.opts.Protocol == ProtocolMESI:
-		// MESI: the only copy in the system is installed Exclusive and can
-		// later upgrade silently.
-		st = cache.Exclusive
 	}
 	var evAddr uint64
 	var writeback bool
@@ -1253,11 +1129,9 @@ func (s *System) fill(cpu int, addr uint64, write, sole bool, now float64) {
 	// The evicted line is clean at home now, but the node keeps exclusive
 	// ownership of the block while any sibling line remains Modified in its
 	// caches — dropping it early would let another node fetch a stale
-	// sibling line from the home memory — or, under MESI, Exclusive: that
-	// line's later silent upgrade relies on the directory's record.
+	// sibling line from the home memory.
 	if e.state == dirExclusive && int(e.owner) == node &&
-		!s.nodeHoldsDirty(node, evBlock) &&
-		(s.opts.Protocol != ProtocolMESI || !s.nodeHoldsExclusive(node, evBlock)) {
+		!s.nodeHoldsDirty(node, evBlock) {
 		e.state = dirShared
 		e.owner = -1
 	}

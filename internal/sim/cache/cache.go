@@ -15,9 +15,10 @@ import (
 type State uint8
 
 // Coherence states. The paper's protocols are MSI (write-invalidate
-// snooping and a three-state directory); Exclusive exists for the
-// simulator's optional MESI variant, where a sole clean copy upgrades to
-// Modified without a coherence transaction.
+// snooping and a three-state directory), and the simulator installs only
+// Shared and Modified. Exclusive is unused; it keeps Modified at 3, which
+// the backend's fused probes rely on (a state in 2..3 is one compare, and
+// Modified is the all-ones state mask).
 const (
 	Invalid State = iota
 	Shared

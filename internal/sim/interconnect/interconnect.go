@@ -37,9 +37,6 @@ func (r *Resource) Acquire(now, duration float64) (done float64) {
 	return r.freeAt
 }
 
-// FreeAt returns the time the resource next becomes idle.
-func (r *Resource) FreeAt() float64 { return r.freeAt }
-
 // Requests returns the number of transfers served.
 func (r *Resource) Requests() uint64 { return r.requests }
 

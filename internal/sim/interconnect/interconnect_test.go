@@ -11,8 +11,8 @@ func TestAcquireIdle(t *testing.T) {
 	if done := r.Acquire(100, 50); done != 150 {
 		t.Errorf("idle acquire done = %v, want 150", done)
 	}
-	if r.FreeAt() != 150 || r.Requests() != 1 || r.BusyCycles() != 50 {
-		t.Errorf("state: freeAt=%v req=%d busy=%v", r.FreeAt(), r.Requests(), r.BusyCycles())
+	if r.freeAt != 150 || r.Requests() != 1 || r.BusyCycles() != 50 {
+		t.Errorf("state: freeAt=%v req=%d busy=%v", r.freeAt, r.Requests(), r.BusyCycles())
 	}
 	if r.WaitCycles() != 0 || r.MeanWait() != 0 {
 		t.Errorf("idle acquire should not wait: %v", r.WaitCycles())

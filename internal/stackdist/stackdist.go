@@ -425,21 +425,6 @@ func (d Distribution) HitRatio(capacity int) float64 {
 	return float64(hits) / float64(refs)
 }
 
-// HitRatios evaluates the histogram at an ordered cache hierarchy: one
-// cumulative hit ratio per level capacity (in datum units, innermost
-// first). Because a smaller LRU cache's contents are a subset of a larger
-// one's (stack inclusion), out[i] is the fraction of references served at
-// or above level i, and out[i]−out[i−1] is the fraction level i itself
-// absorbs — the per-level hit stream the multi-level EMAT recursion
-// consumes.
-func (d Distribution) HitRatios(capacities []int) []float64 {
-	out := make([]float64, len(capacities))
-	for i, c := range capacities {
-		out[i] = d.HitRatio(c)
-	}
-	return out
-}
-
 // Mean returns the mean finite stack distance, or NaN if none were observed.
 func (d Distribution) Mean() float64 {
 	if d.Total == 0 {

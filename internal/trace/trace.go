@@ -228,12 +228,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// LineAddr maps a byte address to its cache-line identity for a given line
-// size in bytes (must be a power of two).
-func LineAddr(addr uint64, lineSize int) uint64 {
-	return addr / uint64(lineSize)
-}
-
 // MaxAddr bounds simulable byte addresses: compiled ops pack the address
 // and the action kind into one word (see Op), reserving the top two bits.
 // Four exabytes of address space leaves every realistic workload untouched;

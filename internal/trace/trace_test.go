@@ -113,21 +113,6 @@ func TestValidateBarrierMismatch(t *testing.T) {
 	}
 }
 
-func TestLineAddr(t *testing.T) {
-	if got := LineAddr(0, 64); got != 0 {
-		t.Errorf("LineAddr(0,64) = %d", got)
-	}
-	if got := LineAddr(63, 64); got != 0 {
-		t.Errorf("LineAddr(63,64) = %d", got)
-	}
-	if got := LineAddr(64, 64); got != 1 {
-		t.Errorf("LineAddr(64,64) = %d", got)
-	}
-	if got := LineAddr(1000, 256); got != 3 {
-		t.Errorf("LineAddr(1000,256) = %d", got)
-	}
-}
-
 func TestSerializationRoundTrip(t *testing.T) {
 	tr := New(3)
 	tr.Streams[0].AddRead(0xdeadbeef)
