@@ -7,10 +7,8 @@ import (
 	"memhier/internal/core"
 	"memhier/internal/cost"
 	"memhier/internal/machine"
-	"memhier/internal/sim/backend"
 	"memhier/internal/stopwatch"
 	"memhier/internal/tabulate"
-	"memhier/internal/workloads"
 )
 
 // CaseResult is one §6 case-study outcome for one workload.
@@ -147,10 +145,6 @@ func (s *Suite) ModelVsSimSpeed() (SpeedComparison, error) {
 		return SpeedComparison{}, err
 	}
 	wl := ModelWorkload(char)
-	tr, err := workloads.GenerateTrace(w, cfg.TotalProcs())
-	if err != nil {
-		return SpeedComparison{}, err
-	}
 
 	elapsed := stopwatch.Start()
 	const evals = 100
@@ -161,8 +155,10 @@ func (s *Suite) ModelVsSimSpeed() (SpeedComparison, error) {
 	}
 	modelTime := elapsed() / evals
 
+	// The simulation runs the kernel as it goes, as the paper's
+	// execution-driven simulators do, so its time includes trace generation.
 	elapsed = stopwatch.Start()
-	if _, err := backend.Simulate(tr, cfg); err != nil {
+	if _, err := StreamSimulate(w, cfg); err != nil {
 		return SpeedComparison{}, err
 	}
 	simTime := elapsed()

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"fmt"
 	"testing"
 
 	"memhier/internal/machine"
@@ -155,5 +156,34 @@ func BenchmarkAccessCacheHit(b *testing.B) {
 	now := 1.0
 	for i := 0; i < b.N; i++ {
 		now = sys.Access(0, 64, false, now)
+	}
+}
+
+// newSystemSink keeps BenchmarkNewSystem's result live.
+var newSystemSink *System
+
+// BenchmarkNewSystem measures building a system before its first reference:
+// caches, directories and each node's page pool. Run it with -benchmem;
+// B/op is the number that tracks what construction allocates.
+func BenchmarkNewSystem(b *testing.B) {
+	for _, name := range []string{"C8", "C14", "modern-2s-server"} {
+		for _, div := range []int{1, 16} {
+			cfg, err := machine.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if cfg, err = cfg.Scaled(div); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/div%d", name, div), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sys, err := NewSystem(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					newSystemSink = sys
+				}
+			})
+		}
 	}
 }

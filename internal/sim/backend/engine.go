@@ -124,7 +124,7 @@ func newRunner(sys *System, nproc, phaseCap int) phaseRunner {
 type engine[C clock] struct {
 	sys  *System
 	hots []cache.Hot
-	// deferHits batches private-hit accounting in hitNs; only exact integer
+	// deferHits batches private-hit accounting in hitN; only exact integer
 	// clocks may, since regrouping fractional sums changes result bits.
 	deferHits bool
 	inf       C // parks a processor: it loses every scan comparison
@@ -141,18 +141,17 @@ type engine[C clock] struct {
 	// clocks[cpu] is its committed clock: for a processor parked on a
 	// gated reference, ready holds the reference's contention time while
 	// clocks stays at the clock the compute advance will be recomputed
-	// from. hitNs[cpu] counts private hits whose counter updates flush has
-	// not applied yet.
+	// from.
 	chains [][][]trace.Op
 	blks   []int
 	ops    [][]trace.Op
 	nexts  []int
 	ready  []C
 	clocks []C
-	hitNs  []uint64
 
-	arrived    int // processors waiting at the open barrier
-	barrierMax C   // latest arrival at the open barrier
+	hitN       uint64 // private hits flush has not yet applied to the counters
+	arrived    int    // processors waiting at the open barrier
+	barrierMax C      // latest arrival at the open barrier
 	phaseStart C
 	wall       C
 	phaseBase  Stats
@@ -174,7 +173,6 @@ func newEngine[C clock](sys *System, nproc, phaseCap int, inf C) *engine[C] {
 		nexts:    make([]int, nproc),
 		ready:    make([]C, nproc),
 		clocks:   make([]C, nproc),
-		hitNs:    make([]uint64, nproc),
 	}
 	e.res.Config = sys.Config().Name
 	if phaseCap > 0 {
@@ -236,7 +234,7 @@ func (e *engine[C]) phase(chains [][][]trace.Op) {
 //chc:hotpath
 func (e *engine[C]) run() {
 	stats := &e.sys.stats
-	ready, clocks, nexts, hitNs := e.ready, e.clocks, e.nexts, e.hitNs
+	ready, clocks, nexts := e.ready, e.clocks, e.nexts
 	latInstr, latHit, inf, deferHits := e.latInstr, e.latHit, e.inf, e.deferHits
 	want := len(ready)
 	live := want
@@ -263,10 +261,10 @@ outer:
 		clock := clocks[bi]
 		next := nexts[bi]
 		ops := e.ops[bi]
-		// hn mirrors hitNs[bi] in a register for the whole scheduling round;
-		// every exit path below stores it back before the slot can be read
-		// (flush) or another round begins.
-		hn := hitNs[bi]
+		// hn mirrors hitN in a register for the whole scheduling round;
+		// every exit path below stores it back before flush can read it or
+		// another round begins.
+		hn := e.hitN
 		h := &e.hots[bi]
 		shift := h.Shift
 		mask := h.Mask
@@ -283,7 +281,7 @@ outer:
 					clocks[bi] = clock
 					nexts[bi] = 0
 					ready[bi] = e.key(bi, clock)
-					hitNs[bi] = hn
+					e.hitN = hn
 					continue outer
 				}
 				// Out of ops; the processor halts at its current clock.
@@ -291,7 +289,7 @@ outer:
 					e.wall = clock
 				}
 				ready[bi] = inf
-				hitNs[bi] = hn
+				e.hitN = hn
 				live--
 				break
 			}
@@ -314,7 +312,7 @@ outer:
 				clocks[bi] = clock
 				nexts[bi] = next
 				ready[bi] = inf
-				hitNs[bi] = hn
+				e.hitN = hn
 				live--
 				e.arrived++
 				if e.arrived == want {
@@ -337,7 +335,7 @@ outer:
 				nexts[bi] = next - 1
 				clocks[bi] = clock
 				ready[bi] = t
-				hitNs[bi] = hn
+				e.hitN = hn
 				continue outer
 			}
 			clock = t
@@ -381,7 +379,6 @@ outer:
 						hn++
 						clock += latHit
 					} else {
-						*h.Hits++
 						stats.Refs++
 						d := float64(clock+latHit) - float64(clock)
 						stats.ClassCounts[ClassCacheHit]++
@@ -393,7 +390,6 @@ outer:
 				} else {
 					// Write hit on a non-Modified line: ownership upgrade
 					// through the protocol, on float clocks.
-					*h.Hits++
 					stats.Refs++
 					fc := float64(clock)
 					done := e.sys.accessRest(bi, addr, true, fc, cache.State(w&3), true)
@@ -402,7 +398,6 @@ outer:
 					clock = C(done)
 				}
 			} else {
-				*h.Misses++
 				stats.Refs++
 				fc := float64(clock)
 				done := e.sys.accessRest(bi, addr, kind == trace.OpWrite, fc, cache.Invalid, false)
@@ -431,7 +426,7 @@ outer:
 					key = e.key(bi, clock) // the peek crosses into the next block
 				}
 				ready[bi] = key
-				hitNs[bi] = hn
+				e.hitN = hn
 				continue outer
 			}
 		}
@@ -471,18 +466,12 @@ func (e *engine[C]) release() {
 	e.arrived = 0
 }
 
-// flush applies the deferred private hits to the counters (cache hits,
-// stats.Refs, hit-class count and cycles, tTotal, refs). It must run before
-// anything reads them: phase snapshots and the final result.
+// flush applies the deferred private hits to the counters (stats.Refs,
+// hit-class count and cycles, tTotal, refs). It must run before anything
+// reads them: phase snapshots and the final result.
 func (e *engine[C]) flush() {
-	var total uint64
-	for i, n := range e.hitNs {
-		if n != 0 {
-			*e.hots[i].Hits += n
-			e.hitNs[i] = 0
-			total += n
-		}
-	}
+	total := e.hitN
+	e.hitN = 0
 	if total != 0 {
 		stats := &e.sys.stats
 		stats.Refs += total

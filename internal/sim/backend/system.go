@@ -630,14 +630,12 @@ func (s *System) invalidateNode(node int, block uint64) int {
 				}
 				h.Ways[b] &^= 3
 				killed++
-				*h.Invalidates++
 			} else if r := (h.Ways[b+1] ^ (tag << 3)) &^ 4; r-1 < 3 {
 				if r == 3 {
 					dirtyKilled++
 				}
 				h.Ways[b+1] &^= 3
 				killed++
-				*h.Invalidates++
 			}
 		}
 	}
@@ -1079,7 +1077,6 @@ func (s *System) fill(cpu int, addr uint64, write bool, now float64) {
 		return
 	}
 	// Both ways valid: evict the not-most-recently-used way.
-	*h.Evictions++
 	if w0&4 == 0 {
 		if w1&3 == 3 {
 			writeback = true
@@ -1105,9 +1102,6 @@ func (s *System) fill(cpu int, addr uint64, write bool, now float64) {
 		if writeback {
 			s.dirtyAdd(s.node(cpu), s.block(evAddr), -1)
 		}
-	}
-	if writeback {
-		*h.Writebacks++
 	}
 	if s.deep != nil {
 		// The victim spills into the deep hierarchy (clean: a dirty

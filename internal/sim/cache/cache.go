@@ -77,15 +77,6 @@ func packWay(tag uint64, s State) uint64 {
 	return tag<<wayTagShift | uint64(s)
 }
 
-// Stats counts cache events.
-type Stats struct {
-	Hits        uint64
-	Misses      uint64
-	Evictions   uint64 // lines displaced by fills
-	Writebacks  uint64 // displaced lines that were Modified
-	Invalidates uint64 // lines killed by coherence actions
-}
-
 // Cache is a set-associative cache with LRU replacement.
 type Cache struct {
 	sets     int
@@ -107,7 +98,6 @@ type Cache struct {
 	// their last touches — true LRU at one word per set instead of one
 	// timestamp per way.
 	order []uint64
-	stats Stats
 }
 
 // New returns a cache of sizeBytes capacity with the given line size and
@@ -175,9 +165,6 @@ func (c *Cache) Sets() int { return c.sets }
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
-// Stats returns the event counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // lineTag maps a byte address to its line identity.
 func (c *Cache) lineTag(addr uint64) uint64 {
 	if c.lineShift >= 0 {
@@ -203,15 +190,12 @@ func (c *Cache) Lookup(addr uint64) (State, bool) {
 	w0 := c.lines[base]
 	if w0&wayStateMask != 0 && w0>>wayTagShift == tag {
 		c.lines[base] = w0 &^ wayMRU1
-		c.stats.Hits++
 		return State(w0 & wayStateMask), true
 	}
 	if w1 := c.lines[base+1]; w1&wayStateMask != 0 && w1>>wayTagShift == tag {
 		c.lines[base] = w0 | wayMRU1
-		c.stats.Hits++
 		return State(w1 & wayStateMask), true
 	}
-	c.stats.Misses++
 	return Invalid, false
 }
 
@@ -224,44 +208,31 @@ func (c *Cache) lookupGeneric(addr uint64) (State, bool) {
 		w := c.lines[i]
 		if w&wayStateMask != 0 && w>>wayTagShift == tag {
 			c.touch(set, i-base)
-			c.stats.Hits++
 			return State(w & wayStateMask), true
 		}
 	}
-	c.stats.Misses++
 	return Invalid, false
 }
 
 // Hot is a flattened view of a two-way power-of-two cache for a simulator
-// engine's inner loop: the way array plus the geometry and counters the
-// hit path touches, with no method call in the way. Everything aliases the
-// Cache's own state — probes and fills through Cache methods and updates
-// through Hot interleave coherently because they read and write the same
-// words.
+// engine's inner loop: the way array plus the geometry the hit path
+// touches, with no method call in the way. Ways aliases the Cache's own
+// lines — probes and fills through Cache methods and updates through Hot
+// interleave coherently because they read and write the same words.
 //
 // The contract for one access to addr, matching Lookup word for word:
 // tag = addr>>Shift, base = (tag&Mask)<<1; a way w matches when
-// w&3 != 0 && w>>3 == tag. On a way-0 match store Ways[base]&^4 back and
-// count *Hits; on a way-1 match store Ways[base]|4 back (way 1 becomes most
-// recently used) and count *Hits; otherwise count *Misses.
+// w&3 != 0 && w>>3 == tag. On a way-0 match store Ways[base]&^4 back; on a
+// way-1 match store Ways[base]|4 back (way 1 becomes most recently used).
 type Hot struct {
-	Ways   []uint64
-	Mask   uint64 // sets-1
-	Shift  uint8  // log2(lineSize)
-	Hits   *uint64
-	Misses *uint64
-	// Invalidates backs Set(addr, Invalid), mirroring Cache.SetState's
-	// bookkeeping so snoops through either interface count identically.
-	Invalidates *uint64
-	// Evictions and Writebacks back a fill inlined through the view,
-	// mirroring Cache.Fill's victim bookkeeping.
-	Evictions  *uint64
-	Writebacks *uint64
+	Ways  []uint64
+	Mask  uint64 // sets-1
+	Shift uint8  // log2(lineSize)
 }
 
-// Probe reports the state of addr without touching LRU or statistics,
-// mirroring Cache.Probe for the two-way geometry. Unlike the method on
-// Cache it is small enough to inline into a snoop loop.
+// Probe reports the state of addr without touching LRU, mirroring
+// Cache.Probe for the two-way geometry. Unlike the method on Cache it is
+// small enough to inline into a snoop loop.
 func (h *Hot) Probe(addr uint64) (State, bool) {
 	tag := addr >> h.Shift
 	base := (tag & h.Mask) << 1
@@ -276,7 +247,7 @@ func (h *Hot) Probe(addr uint64) (State, bool) {
 
 // Set changes the state of a resident line, mirroring Cache.SetState word
 // for word: a no-op when absent, Invalid clears only the state bits (the
-// way's LRU standing survives) and counts an invalidation.
+// way's LRU standing survives).
 func (h *Hot) Set(addr uint64, st State) {
 	tag := addr >> h.Shift
 	base := (tag & h.Mask) << 1
@@ -292,9 +263,6 @@ func (h *Hot) Set(addr uint64, st State) {
 	// Invalid's state bits are zero, so one masked store covers both the
 	// invalidation and the downgrade case.
 	h.Ways[i] = w&^wayStateMask | uint64(st)
-	if st == Invalid {
-		*h.Invalidates++
-	}
 }
 
 // Hot returns the flattened fast-path view, or ok=false when the geometry
@@ -304,20 +272,11 @@ func (c *Cache) Hot() (Hot, bool) {
 	if !c.two {
 		return Hot{}, false
 	}
-	return Hot{
-		Ways:        c.lines,
-		Mask:        uint64(c.sets - 1),
-		Shift:       uint8(c.lineShift),
-		Hits:        &c.stats.Hits,
-		Misses:      &c.stats.Misses,
-		Invalidates: &c.stats.Invalidates,
-		Evictions:   &c.stats.Evictions,
-		Writebacks:  &c.stats.Writebacks,
-	}, true
+	return Hot{Ways: c.lines, Mask: uint64(c.sets - 1), Shift: uint8(c.lineShift)}, true
 }
 
-// Probe reports the state of addr without touching LRU or statistics
-// (a snoop from another processor).
+// Probe reports the state of addr without touching LRU (a snoop from
+// another processor).
 func (c *Cache) Probe(addr uint64) (State, bool) {
 	if c.two {
 		tag := addr >> uint8(c.lineShift)
@@ -379,9 +338,7 @@ func (c *Cache) Fill(addr uint64, st State) (evictedAddr uint64, writeback, evic
 			v = 1
 		}
 		ev := c.lines[base+v]
-		c.stats.Evictions++
 		if State(ev&wayStateMask) == Modified {
-			c.stats.Writebacks++
 			writeback = true
 		}
 		evictedAddr = ev >> wayTagShift << uint8(c.lineShift)
@@ -420,9 +377,7 @@ func (c *Cache) fillGeneric(addr uint64, st State) (evictedAddr uint64, writebac
 		// Every way is valid: evict the least recently used.
 		victim = base + int(c.order[set]>>(4*uint(c.assoc-1))&15)
 		ev := c.lines[victim]
-		c.stats.Evictions++
 		if State(ev&wayStateMask) == Modified {
-			c.stats.Writebacks++
 			writeback = true
 		}
 		evictedAddr, evicted = wayTag(ev)*uint64(c.lineSize), true
@@ -451,9 +406,8 @@ func (c *Cache) SetState(addr uint64, st State) {
 	}
 }
 
-// Take invalidates addr if it is resident, counting one invalidation, and
-// reports whether it was: Probe and SetState(addr, Invalid) in one set
-// scan.
+// Take invalidates addr if it is resident and reports whether it was:
+// Probe and SetState(addr, Invalid) in one set scan.
 func (c *Cache) Take(addr uint64) bool {
 	tag := c.lineTag(addr)
 	base := (int(tag) & (c.sets - 1)) * c.assoc
@@ -463,16 +417,13 @@ func (c *Cache) Take(addr uint64) bool {
 			// of a two-way set) survives the line's death, as the order
 			// word does.
 			c.lines[i] = w &^ wayStateMask
-			c.stats.Invalidates++
 			return true
 		}
 	}
 	return false
 }
 
-// Flush invalidates every line and returns how many were Modified. Each
-// valid line killed counts toward Stats.Invalidates, the same as a
-// coherence invalidation through SetState.
+// Flush invalidates every line and returns how many were Modified.
 func (c *Cache) Flush() (dirty int) {
 	for i, w := range c.lines {
 		switch State(w & wayStateMask) {
@@ -482,7 +433,6 @@ func (c *Cache) Flush() (dirty int) {
 			dirty++
 		}
 		c.lines[i] = w &^ wayStateMask
-		c.stats.Invalidates++
 	}
 	return dirty
 }

@@ -6,10 +6,7 @@
 //chc:deterministic
 package memory
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // PageSize is the residency granule in bytes.
 const PageSize = 4096
@@ -31,7 +28,9 @@ type slot struct {
 // Residency lookups go through an intrusive chained hash table (buckets of
 // slot indexes linked by slot.hnext) instead of a Go map: the simulator
 // touches memory on every cache miss, and the map's hashing and bucket
-// probing dominated that path.
+// probing dominated that path. The table and the slots grow with the
+// resident pages, not with the capacity: a run touches a few hundred pages
+// of a capacity of up to millions.
 type Memory struct {
 	capacity int // pages
 	buckets  []int32
@@ -39,41 +38,41 @@ type Memory struct {
 	slots    []slot
 	head     int32 // most recently used; -1 when empty
 	tail     int32 // least recently used; -1 when empty
-	resident int
 
 	faults     uint64
 	accesses   uint64
 	writebacks uint64
 }
 
-// New returns a memory of the given byte capacity (at least one page).
+// minBuckets is the bucket count of a new memory's hash table.
+const minBuckets = 64
+
+// New returns a memory of the given byte capacity (at least one page). It
+// allocates a minimal table; the table doubles as pages fault in, so a
+// memory costs what its resident pages cost, whatever its capacity.
 func New(bytes int64) *Memory {
 	pages := int(bytes / PageSize)
 	if pages < 1 {
 		pages = 1
 	}
-	// Bucket count: roughly two buckets per resident page keeps chains at
-	// one or two links, capped so paper-scale capacities don't front-load
-	// megabytes of table (longer chains there are still cheap).
-	hint := pages
-	if hint > 1<<16 {
-		hint = 1 << 16
+	m := &Memory{capacity: pages, head: -1, tail: -1}
+	m.rehash(minBuckets)
+	return m
+}
+
+// rehash replaces the bucket table with nb empty buckets (a power of two)
+// and relinks every resident page into it. Chain order within a bucket
+// carries no meaning, so rehashing changes no result.
+func (m *Memory) rehash(nb int) {
+	m.buckets = make([]int32, nb)
+	for i := range m.buckets {
+		m.buckets[i] = -1
 	}
-	nb := 1 << bits.Len(uint(2*hint-1))
-	if nb < 64 {
-		nb = 64
-	}
-	buckets := make([]int32, nb)
-	for i := range buckets {
-		buckets[i] = -1
-	}
-	return &Memory{
-		capacity: pages,
-		buckets:  buckets,
-		mask:     uint64(nb - 1),
-		slots:    make([]slot, 0, hint),
-		head:     -1,
-		tail:     -1,
+	m.mask = uint64(nb - 1)
+	for i := range m.slots {
+		b := m.bucket(m.slots[i].page)
+		m.slots[i].hnext = *b
+		*b = int32(i)
 	}
 }
 
@@ -160,9 +159,13 @@ func (m *Memory) TouchW(addr uint64, write bool) (resident, evictedDirty bool) {
 	m.faults++
 	var i int32
 	if len(m.slots) < m.capacity {
+		// Keep at least two buckets per resident page, so chains stay at
+		// one or two links.
+		if 2*len(m.slots) >= len(m.buckets) {
+			m.rehash(2 * len(m.buckets))
+		}
 		i = int32(len(m.slots))
 		m.slots = append(m.slots, slot{})
-		m.resident++
 	} else {
 		// Full: reuse the LRU victim's slot.
 		i = m.tail
@@ -190,8 +193,8 @@ func (m *Memory) TouchW(addr uint64, write bool) (resident, evictedDirty bool) {
 // Writebacks returns the number of dirty pages written back on eviction.
 func (m *Memory) Writebacks() uint64 { return m.writebacks }
 
-// Resident returns the number of resident pages.
-func (m *Memory) Resident() int { return m.resident }
+// Resident returns the number of resident pages; every slot holds one.
+func (m *Memory) Resident() int { return len(m.slots) }
 
 // Faults returns the number of page faults (disk transfers).
 func (m *Memory) Faults() uint64 { return m.faults }
@@ -201,5 +204,5 @@ func (m *Memory) Accesses() uint64 { return m.accesses }
 
 // String summarizes occupancy.
 func (m *Memory) String() string {
-	return fmt.Sprintf("memory{%d/%d pages, %d faults}", m.resident, m.capacity, m.faults)
+	return fmt.Sprintf("memory{%d/%d pages, %d faults}", len(m.slots), m.capacity, m.faults)
 }

@@ -1,6 +1,9 @@
 package memory
 
 import (
+	"container/list"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -116,5 +119,105 @@ func TestDirtyPageWriteback(t *testing.T) {
 	m.TouchW(4*PageSize, false)
 	if _, d := m.TouchW(5*PageSize, false); d {
 		t.Error("page 0 should be clean after its write-back")
+	}
+}
+
+// refLRU is the reference page pool: a map from page to its element in a
+// recency list, most recently used at the front.
+type refLRU struct {
+	capacity   int
+	pages      map[uint64]*list.Element
+	order      *list.List // of *refPage
+	faults     uint64
+	writebacks uint64
+}
+
+type refPage struct {
+	page  uint64
+	dirty bool
+}
+
+func newRefLRU(capacity int) *refLRU {
+	return &refLRU{capacity: capacity, pages: map[uint64]*list.Element{}, order: list.New()}
+}
+
+func (r *refLRU) touchW(addr uint64, write bool) (resident, evictedDirty bool) {
+	page := addr / PageSize
+	if e, ok := r.pages[page]; ok {
+		r.order.MoveToFront(e)
+		if write {
+			e.Value.(*refPage).dirty = true
+		}
+		return true, false
+	}
+	r.faults++
+	if r.order.Len() == r.capacity {
+		victim := r.order.Remove(r.order.Back()).(*refPage)
+		delete(r.pages, victim.page)
+		if victim.dirty {
+			evictedDirty = true
+			r.writebacks++
+		}
+	}
+	r.pages[page] = r.order.PushFront(&refPage{page: page, dirty: write})
+	return false, evictedDirty
+}
+
+// TestMatchesReferenceLRU drives random read/write page sequences through
+// Memory and the reference pool. Each capacity's sequence fills the memory,
+// so the table doubles from its initial 64 buckets up to the size the
+// capacity needs, and then keeps evicting.
+func TestMatchesReferenceLRU(t *testing.T) {
+	for _, pages := range []int{1, 40, 1024, 1<<16 + 4000} {
+		m := New(int64(pages) * PageSize)
+		ref := newRefLRU(pages)
+		rng := rand.New(rand.NewSource(int64(pages)))
+		span := uint64(pages + pages/2 + 8) // more pages than fit
+		steps := 4*pages + 1000
+		for step := 0; step < steps; step++ {
+			addr := uint64(rng.Int63n(int64(span)))*PageSize + uint64(rng.Intn(PageSize))
+			write := rng.Intn(3) == 0
+			gotRes, gotDirty := m.TouchW(addr, write)
+			wantRes, wantDirty := ref.touchW(addr, write)
+			if gotRes != wantRes || gotDirty != wantDirty {
+				t.Fatalf("capacity %d step %d: TouchW(%#x, %v) = (%v, %v), want (%v, %v)",
+					pages, step, addr, write, gotRes, gotDirty, wantRes, wantDirty)
+			}
+		}
+		if m.Resident() != ref.order.Len() || m.Faults() != ref.faults || m.Writebacks() != ref.writebacks {
+			t.Errorf("capacity %d: resident %d faults %d writebacks %d, want %d %d %d", pages,
+				m.Resident(), m.Faults(), m.Writebacks(), ref.order.Len(), ref.faults, ref.writebacks)
+		}
+		if m.Resident() != pages {
+			t.Errorf("capacity %d: only %d pages resident; the sequence never filled the memory", pages, m.Resident())
+		}
+		// The table kept two buckets per resident page and grew no further.
+		want := minBuckets
+		for want < 2*m.Resident() {
+			want *= 2
+		}
+		if len(m.buckets) != want {
+			t.Errorf("capacity %d: %d buckets for %d resident pages, want %d", pages, len(m.buckets), m.Resident(), want)
+		}
+	}
+}
+
+var sink *Memory
+
+// TestNewAllocatesMinimalTable pins that a memory's construction cost does
+// not depend on its capacity.
+func TestNewAllocatesMinimalTable(t *testing.T) {
+	const n = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		sink = New(64 << 30)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Errorf("New(64 GiB) allocates %d bytes, want under 1 KiB", per)
+	}
+	if sink.Pages() != 64<<30/PageSize {
+		t.Errorf("Pages = %d, want %d", sink.Pages(), 64<<30/PageSize)
 	}
 }

@@ -3,7 +3,7 @@
 #
 # Usage: scripts/bench.sh [-short] output.json
 #
-# Runs the simulator-engine, stack-distance, prediction-service,
+# Runs the simulator-engine, system-construction, stack-distance, prediction-service,
 # resilient-client, cluster-serving, sweep/budget-optimization,
 # request-path constant (catalog lookup, priced design space) and
 # reproduction measurement-layer (characterization, per-CPU stack
@@ -30,7 +30,7 @@ if [ -z "$out" ]; then
   exit 2
 fi
 
-pattern='^(BenchmarkSimulate|BenchmarkRun|BenchmarkStreamRun|BenchmarkAccessCacheHit|BenchmarkTouch|BenchmarkServe|BenchmarkClient|BenchmarkCluster|BenchmarkOptimizeBudgets|BenchmarkBudgetSweepBrute)'
+pattern='^(BenchmarkSimulate|BenchmarkNewSystem|BenchmarkRun|BenchmarkStreamRun|BenchmarkAccessCacheHit|BenchmarkTouch|BenchmarkServe|BenchmarkClient|BenchmarkCluster|BenchmarkOptimizeBudgets|BenchmarkBudgetSweepBrute)'
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
